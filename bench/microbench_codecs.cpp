@@ -2,18 +2,16 @@
 // primitives (encode/decode throughput across the codec zoo, adaptive
 // selection, intersections). Unlike the figure benches — which report
 // *simulated* time on the modeled K20 testbed — these measure this
-// library's real speed on the build host. A custom reporter mirrors every
-// run into BENCH_microbench_codecs.json.
+// library's real speed on the build host. Every run is mirrored into
+// BENCH_microbench_codecs.json (microbench_report.h).
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "bench_common.h"
 #include "codec/block_codec.h"
 #include "codec/codec.h"
 #include "cpu/intersect.h"
+#include "microbench_report.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 
@@ -129,43 +127,8 @@ BENCHMARK(BM_SelectScheme)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_MergeIntersect)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_SkipIntersect)->Arg(1 << 18)->Arg(1 << 21);
 
-/// Console output as usual, plus every run mirrored into a JSON array so
-/// write_bench_json can emit the BENCH_microbench_codecs.json artifact.
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& r : runs) {
-      auto row = bench::Json::object();
-      row["name"] = r.benchmark_name();
-      row["real_time_ns"] = r.GetAdjustedRealTime();
-      row["cpu_time_ns"] = r.GetAdjustedCPUTime();
-      const auto it = r.counters.find("items_per_second");
-      if (it != r.counters.end()) {
-        row["items_per_second"] = static_cast<double>(it->second);
-      }
-      rows_.push_back(std::move(row));
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  bench::Json take_rows() { return std::move(rows_); }
-
- private:
-  bench::Json rows_ = bench::Json::array();
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonCaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  auto root = bench::Json::object();
-  root["bench"] = "microbench_codecs";
-  root["runs"] = reporter.take_rows();
-  bench::write_bench_json("microbench_codecs", root);
-  return 0;
+  return bench::run_microbench("microbench_codecs", argc, argv);
 }

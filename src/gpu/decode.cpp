@@ -1,7 +1,10 @@
 #include "gpu/decode.h"
 
+#include <algorithm>
 #include <cassert>
+#include <vector>
 
+#include "codec/codec.h"
 #include "codec/simple16.h"
 #include "gpu/ef_decode.h"
 #include "gpu/pfor_decode.h"
@@ -209,31 +212,64 @@ void serial_decode_one_block(simt::Block& blk, const DeviceList& list,
 
 namespace {
 
-/// Per-scheme one-block dispatch for the generic entry points.
-void decode_one_block(simt::Block& blk, const DeviceList& list,
-                      const BlockDesc& d, std::uint64_t desc_index,
-                      simt::DeviceBuffer<DocId>& out, std::uint64_t out_pos) {
-  switch (list.scheme) {
+/// Per-scheme one-block kernel for the generic entry points.
+OneBlockDecode kernel_for(codec::Scheme s) {
+  switch (s) {
     case codec::Scheme::kEliasFano:
-      ef_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
+      return ef_decode_one_block;
     case codec::Scheme::kPForDelta:
-      pfor_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
+      return pfor_decode_one_block;
     case codec::Scheme::kBitPack128:
-      bp128_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
+      return bp128_decode_one_block;
     case codec::Scheme::kRePair:
-      repair_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
+      return repair_decode_one_block;
     case codec::Scheme::kVarByte:
     case codec::Scheme::kSimple16:
-      serial_decode_one_block(blk, list, d, desc_index, out, out_pos);
-      break;
+      return serial_decode_one_block;
   }
+  return serial_decode_one_block;
+}
+
+/// The host reference decode of one block, reading the device payload.
+void host_decode(const DeviceList& list, const BlockDesc& d, DocId* out) {
+  const codec::BlockMeta meta{d.first, d.last, d.bit_offset, d.count, d.hdr};
+  codec::codec_for(list.scheme)
+      .decode_block(std::span<const std::uint64_t>(list.blob.raw(),
+                                                   list.blob.size()),
+                    meta, out);
+}
+
+bool matches_host_decode(const DeviceList& list, const BlockDesc& d,
+                         const simt::DeviceBuffer<DocId>& out,
+                         std::uint64_t out_pos) {
+  std::vector<DocId> ref(d.count);
+  host_decode(list, d, ref.data());
+  return std::equal(ref.begin(), ref.end(), out.raw() + out_pos);
 }
 
 }  // namespace
+
+void decode_block_memoized(simt::Block& blk, const DeviceList& list,
+                           std::size_t pb, simt::DeviceBuffer<DocId>& out,
+                           std::uint64_t out_pos, OneBlockDecode kernel) {
+  const BlockDesc& d = list.host_descs[pb];
+  // The stats depend on the output's alignment only through out_pos modulo
+  // one transaction, provided every buffer starts on a transaction boundary;
+  // the shared layout is the kernel's own, and the blob and descriptors are
+  // this list's.
+  const std::uint64_t txn = blk.spec().mem_transaction_bytes;
+  assert(simt::Device::kAllocAlign % txn == 0 && txn % sizeof(DocId) == 0);
+  assert(blk.dim() == list.block_size && blk.shared_bytes_used() == 0);
+  const std::uint64_t txn_words = txn / sizeof(DocId);
+  assert(out_pos + d.count <= out.size());
+  blk.memoized(
+      list.decode_memo, pb * txn_words + out_pos % txn_words,
+      [&] {
+        kernel(blk, list, d, pb, out, out_pos);
+        assert(matches_host_decode(list, d, out, out_pos));
+      },
+      [&] { host_decode(list, d, out.raw() + out_pos); });
+}
 
 }  // namespace detail
 
@@ -269,8 +305,9 @@ sim::KernelStats decode_range(simt::Device& dev, const DeviceList& list,
       [&](simt::Block& blk) {
         const std::size_t pb = lo + blk.block_id();
         const BlockDesc& d = list.host_descs[pb];
-        detail::decode_one_block(blk, list, d, pb, out,
-                                 out_base + d.out_offset - first_off);
+        detail::decode_block_memoized(
+            blk, list, pb, out, out_base + d.out_offset - first_off,
+            detail::kernel_for(list.scheme));
       });
 }
 
@@ -290,11 +327,10 @@ sim::KernelStats decode_selected(
         blk.for_each_thread([&](simt::Thread& t) {
           if (t.tid() == 0) (void)t.load(ids_dev, blk.block_id());
         });
-        const std::uint32_t pb = ids[blk.block_id()];
-        const BlockDesc& d = list.host_descs[pb];
-        detail::decode_one_block(blk, list, d, pb, out,
-                                 static_cast<std::uint64_t>(blk.block_id()) *
-                                     list.block_size);
+        detail::decode_block_memoized(
+            blk, list, ids[blk.block_id()], out,
+            static_cast<std::uint64_t>(blk.block_id()) * list.block_size,
+            detail::kernel_for(list.scheme));
       });
 }
 

@@ -36,7 +36,22 @@ sim::KernelStats decode_selected(
 
 namespace detail {
 // One-posting-block decode bodies, one SIMT block each. Shared between the
-// dedicated range kernels and the generic dispatch above.
+// dedicated range kernels and the generic dispatch above; every call goes
+// through decode_block_memoized.
+using OneBlockDecode = void (*)(simt::Block& blk, const DeviceList& list,
+                                const BlockDesc& d, std::uint64_t desc_index,
+                                simt::DeviceBuffer<DocId>& out,
+                                std::uint64_t out_pos);
+
+/// Decodes posting block `pb` of `list` into out[out_pos, +count) inside
+/// the current SIMT block. The first decode of a (block, out_pos modulo one
+/// memory transaction) pair runs `kernel` lane by lane and records its
+/// stats in list.decode_memo; later ones decode on the host and replay the
+/// recorded stats.
+void decode_block_memoized(simt::Block& blk, const DeviceList& list,
+                           std::size_t pb, simt::DeviceBuffer<DocId>& out,
+                           std::uint64_t out_pos, OneBlockDecode kernel);
+
 void ef_decode_one_block(simt::Block& blk, const DeviceList& list,
                          const BlockDesc& d, std::uint64_t desc_index,
                          simt::DeviceBuffer<DocId>& out, std::uint64_t out_pos);

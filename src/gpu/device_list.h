@@ -38,6 +38,10 @@ struct DeviceList {
   simt::DeviceBuffer<std::uint64_t> blob;
   simt::DeviceBuffer<BlockDesc> descs;
   std::vector<BlockDesc> host_descs;  ///< host mirror (skip table)
+  /// Recorded per-block decode stats (gpu/decode.h, decode_block_memoized).
+  /// The payload is never written after upload_list, so the memo lives and
+  /// dies with this upload: eviction or re-upload starts it cold.
+  mutable simt::StatsMemo decode_memo;
 
   std::size_t num_blocks() const { return host_descs.size(); }
   std::uint64_t payload_bytes() const { return blob.size() * 8; }

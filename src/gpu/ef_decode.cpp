@@ -97,9 +97,10 @@ sim::KernelStats ef_decode_range(simt::Device& dev, const DeviceList& list,
       dev, {static_cast<std::uint32_t>(hi - lo), list.block_size},
       [&](simt::Block& blk) {
         const std::size_t pb = lo + blk.block_id();
-        const BlockDesc& d = list.host_descs[pb];
-        detail::ef_decode_one_block(blk, list, d, pb, out,
-                                    out_base + d.out_offset - first_off);
+        detail::decode_block_memoized(
+            blk, list, pb, out,
+            out_base + list.host_descs[pb].out_offset - first_off,
+            detail::ef_decode_one_block);
       });
 }
 
@@ -116,11 +117,10 @@ sim::KernelStats ef_decode_selected(simt::Device& dev, const DeviceList& list,
         blk.for_each_thread([&](simt::Thread& t) {
           if (t.tid() == 0) (void)t.load(ids_dev, blk.block_id());
         });
-        const std::uint32_t pb = ids[blk.block_id()];
-        const BlockDesc& d = list.host_descs[pb];
-        detail::ef_decode_one_block(blk, list, d, pb, out,
-                                    static_cast<std::uint64_t>(blk.block_id()) *
-                                        list.block_size);
+        detail::decode_block_memoized(
+            blk, list, ids[blk.block_id()], out,
+            static_cast<std::uint64_t>(blk.block_id()) * list.block_size,
+            detail::ef_decode_one_block);
       });
 }
 

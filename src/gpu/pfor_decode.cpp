@@ -82,9 +82,10 @@ sim::KernelStats pfor_decode_range(simt::Device& dev, const DeviceList& list,
       dev, {static_cast<std::uint32_t>(hi - lo), list.block_size},
       [&](simt::Block& blk) {
         const std::size_t pb = lo + blk.block_id();
-        const BlockDesc& d = list.host_descs[pb];
-        detail::pfor_decode_one_block(blk, list, d, pb, out,
-                                      out_base + d.out_offset - first_off);
+        detail::decode_block_memoized(
+            blk, list, pb, out,
+            out_base + list.host_descs[pb].out_offset - first_off,
+            detail::pfor_decode_one_block);
       });
 }
 

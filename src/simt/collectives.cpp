@@ -4,14 +4,30 @@
 
 namespace griffin::simt {
 
-void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
+namespace {
+
+/// Memo key of a scan: everything its counted work depends on. Lane loop
+/// bounds follow (n, block dim); bank conflicts follow the word offsets of
+/// `data` and of the two sums arrays (adjacent, so one offset fixes both)
+/// modulo the 32 banks.
+std::uint64_t scan_key(bool exclusive, const Block& blk,
+                       std::span<const std::uint32_t> data,
+                       std::span<const std::uint32_t> sums) {
+  std::uint64_t key = data.size();
+  key = (key << 11) | blk.dim();  // dim <= 1024
+  key = (key << 5) | (blk.shared_word_offset(data.data()) % 32);
+  key = (key << 5) | (blk.shared_word_offset(sums.data()) % 32);
+  return (key << 1) | (exclusive ? 1u : 0u);
+}
+
+/// The simulated inclusive scan. Three phases: per-thread chunk scan,
+/// Hillis-Steele scan of chunk sums, offset add.
+void simulate_inclusive_scan(Block& blk, std::span<std::uint32_t> data,
+                             std::span<std::uint32_t> sums,
+                             std::span<std::uint32_t> sums_alt) {
   const std::size_t n = data.size();
-  if (n == 0) return;
   const std::uint32_t dim = blk.dim();
   const std::size_t chunk = util::div_ceil(n, dim);
-
-  auto sums = blk.shared<std::uint32_t>(dim);
-  auto sums_alt = blk.shared<std::uint32_t>(dim);
 
   // Phase 1: each thread scans its own chunk in place and records the total.
   blk.for_each_thread([&](Thread& t) {
@@ -23,7 +39,7 @@ void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
       t.sstore(data, i, acc);
       t.charge(kAluCycle);
     }
-    t.sstore(std::span<std::uint32_t>(sums), t.tid(), acc);
+    t.sstore(sums, t.tid(), acc);
   });
 
   // Phase 2: Hillis-Steele inclusive scan of the per-thread sums. Only the
@@ -62,29 +78,61 @@ void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
   });
 }
 
+/// Host reference for both scans (wrapping uint32 sums, like the lanes).
+void host_inclusive_scan(std::span<std::uint32_t> data) {
+  std::uint32_t acc = 0;
+  for (std::uint32_t& v : data) v = acc += v;
+}
+
+}  // namespace
+
+void block_inclusive_scan(Block& blk, std::span<std::uint32_t> data) {
+  if (data.empty()) return;
+  // Allocated on replay too, so later shared() offsets and the budget check
+  // see the same layout.
+  auto sums = blk.shared<std::uint32_t>(blk.dim());
+  auto sums_alt = blk.shared<std::uint32_t>(blk.dim());
+  blk.memoized(
+      blk.collective_memo(), scan_key(false, blk, data, sums),
+      [&] { simulate_inclusive_scan(blk, data, sums, sums_alt); },
+      [&] { host_inclusive_scan(data); });
+}
+
 std::uint32_t block_exclusive_scan(Block& blk, std::span<std::uint32_t> data) {
   if (data.empty()) return 0;
-  block_inclusive_scan(blk, data);
-  // Shift right by one (in parallel, reading before writing via double read
-  // region split: read into registers, barrier, write).
   const std::size_t n = data.size();
-  const std::uint32_t dim = blk.dim();
-  const std::size_t chunk = util::div_ceil(n, dim);
-  std::vector<std::uint32_t> regs(n);  // per-lane registers across the barrier
-  blk.for_each_thread([&](Thread& t) {
-    const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      regs[i] = i == 0 ? 0
-                       : t.sload(std::span<const std::uint32_t>(data), i - 1);
-    }
-  });
-  std::uint32_t total = data[n - 1];
-  blk.for_each_thread([&](Thread& t) {
-    const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) t.sstore(data, i, regs[i]);
-  });
+  auto sums = blk.shared<std::uint32_t>(blk.dim());
+  auto sums_alt = blk.shared<std::uint32_t>(blk.dim());
+  std::uint32_t total = 0;
+  auto simulate = [&] {
+    simulate_inclusive_scan(blk, data, sums, sums_alt);
+    // Shift right by one (in parallel, reading before writing via double
+    // read region split: read into registers, barrier, write).
+    const std::size_t chunk = util::div_ceil(n, blk.dim());
+    std::vector<std::uint32_t> regs(n);  // per-lane registers across barrier
+    blk.for_each_thread([&](Thread& t) {
+      const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
+      const std::size_t hi = std::min(n, lo + chunk);
+      for (std::size_t i = lo; i < hi; ++i) {
+        regs[i] = i == 0 ? 0
+                         : t.sload(std::span<const std::uint32_t>(data), i - 1);
+      }
+    });
+    total = data[n - 1];
+    blk.for_each_thread([&](Thread& t) {
+      const std::size_t lo = static_cast<std::size_t>(t.tid()) * chunk;
+      const std::size_t hi = std::min(n, lo + chunk);
+      for (std::size_t i = lo; i < hi; ++i) t.sstore(data, i, regs[i]);
+    });
+  };
+  auto replay = [&] {
+    host_inclusive_scan(data);
+    total = data[n - 1];
+    std::copy_backward(data.begin(), data.end() - 1, data.end());
+    data[0] = 0;
+  };
+  blk.memoized(blk.collective_memo(), scan_key(true, blk, data, sums),
+               simulate, replay);
   return total;
 }
 

@@ -1,7 +1,10 @@
 // Block-level collectives, written as block-synchronous kernel fragments so
 // their simulated cost (shared-memory traffic, barriers, log-depth rounds)
 // emerges from the same accounting as user kernels. Call them from a kernel
-// body at block scope (between for_each_thread regions).
+// body at block scope (between for_each_thread regions). The scans are pure
+// in their shape, so each (kind, n, block dim, shared offsets) is simulated
+// once per Device and replayed from the device's collective memo after that
+// (simt/memo.h).
 #pragma once
 
 #include <cstdint>

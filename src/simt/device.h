@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/hardware_spec.h"
+#include "simt/memo.h"
 
 namespace griffin::simt {
 
@@ -94,6 +95,9 @@ class Device {
   std::size_t free_bytes() const { return capacity_ - used_; }
   std::uint64_t alloc_count() const { return alloc_count_; }
 
+  /// Alignment of every allocation's device address.
+  static constexpr std::uint64_t kAllocAlign = 256;
+
   template <typename T>
   DeviceBuffer<T> alloc(std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
@@ -102,7 +106,7 @@ class Device {
     const std::uint64_t base = next_addr_;
     // Keep allocations 256-byte aligned like a real allocator; addresses are
     // never reused so analyzers can't confuse two buffers.
-    next_addr_ += (bytes + 255) / 256 * 256;
+    next_addr_ += (bytes + kAllocAlign - 1) / kAllocAlign * kAllocAlign;
     return DeviceBuffer<T>(this, base, n);
   }
 
@@ -133,6 +137,10 @@ class Device {
   std::uint64_t h2d_bytes() const { return h2d_bytes_; }
   std::uint64_t d2h_bytes() const { return d2h_bytes_; }
 
+  /// Recorded stats of block collectives (simt/collectives.cpp), keyed by
+  /// shape; owned here so two devices never share simulator state.
+  StatsMemo& collective_memo() { return collective_memo_; }
+
  private:
   friend class detail::UntypedBuffer;
 
@@ -154,6 +162,7 @@ class Device {
   std::uint64_t alloc_count_ = 0;
   mutable std::uint64_t h2d_bytes_ = 0;
   mutable std::uint64_t d2h_bytes_ = 0;
+  StatsMemo collective_memo_;
 };
 
 namespace detail {

@@ -29,6 +29,7 @@
 
 #include "sim/gpu_cost_model.h"
 #include "simt/device.h"
+#include "simt/memo.h"
 #include "util/bits.h"
 
 namespace griffin::simt {
@@ -74,19 +75,22 @@ class Thread {
     buf.raw()[idx] = value;
   }
 
-  /// Shared-memory read (charged, bank-tracked).
+  /// Shared-memory read (charged, bank-tracked). The bank model is 32
+  /// banks of 4-byte words, so only 4-byte elements are modeled.
   template <typename T>
   T sload(std::span<const T> shared, std::size_t idx) {
+    static_assert(sizeof(T) == 4, "shared accesses are 4-byte words");
     assert(idx < shared.size());
-    record_shared(reinterpret_cast<std::uintptr_t>(&shared[idx]));
+    record_shared(&shared[idx]);
     return shared[idx];
   }
 
   /// Shared-memory write (charged, bank-tracked).
   template <typename T>
   void sstore(std::span<T> shared, std::size_t idx, T value) {
+    static_assert(sizeof(T) == 4, "shared accesses are 4-byte words");
     assert(idx < shared.size());
-    record_shared(reinterpret_cast<std::uintptr_t>(&shared[idx]));
+    record_shared(&shared[idx]);
     shared[idx] = value;
   }
 
@@ -134,10 +138,14 @@ class Thread {
     alu_ += kGlobalAccessCycles;
     global_.push_back({addr, bytes});
   }
-  void record_shared(std::uintptr_t host_addr) {
+  void record_shared(const void* p) {
+    // Bank = (word offset inside the block's shared arena) mod 32, 4-byte
+    // banks: a function of the arena layout only, never of host addresses.
+    const auto addr = reinterpret_cast<std::uintptr_t>(p);
+    assert(addr >= arena_base_ && addr + 4 <= arena_base_ + arena_bytes_);
     alu_ += kSharedAccessCycles;
-    // Bank = (word address) mod 32, 4-byte banks.
-    shared_banks_.push_back(static_cast<std::uint32_t>((host_addr / 4) % 32));
+    shared_banks_.push_back(
+        static_cast<std::uint32_t>(((addr - arena_base_) / 4) % 32));
   }
 
   void reset(std::uint32_t tid, std::uint32_t block_id, std::uint32_t dim) {
@@ -153,6 +161,8 @@ class Thread {
   std::uint32_t tid_ = 0;
   std::uint32_t block_id_ = 0;
   std::uint32_t block_dim_ = 0;
+  std::uintptr_t arena_base_ = 0;  ///< the block's shared arena
+  std::size_t arena_bytes_ = 0;
   double alu_ = 0.0;
   std::vector<GlobalAccess> global_;
   std::vector<std::uint32_t> shared_banks_;
@@ -164,18 +174,24 @@ class Thread {
 /// buffers keep their capacity — a pure simulator-speed concern.
 class Block {
  public:
-  Block(const sim::GpuSpec& spec, sim::KernelStats& stats,
-        std::uint32_t block_id, std::uint32_t block_dim,
-        std::uint32_t grid_dim)
-      : spec_(spec),
+  Block(Device& dev, sim::KernelStats& stats, std::uint32_t block_id,
+        std::uint32_t block_dim, std::uint32_t grid_dim)
+      : dev_(dev),
+        spec_(dev.spec()),
         stats_(stats),
         block_id_(block_id),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
-        shared_arena_(spec.shared_mem_per_block),
-        lanes_(block_dim) {
+        shared_arena_(spec_.shared_mem_per_block),
+        lanes_(block_dim),
+        warp_max_(warps()) {
     assert(block_dim_ > 0);
-    assert(block_dim_ <= static_cast<std::uint32_t>(spec.max_threads_per_block));
+    assert(block_dim_ <=
+           static_cast<std::uint32_t>(spec_.max_threads_per_block));
+    for (Thread& t : lanes_) {
+      t.arena_base_ = reinterpret_cast<std::uintptr_t>(shared_arena_.data());
+      t.arena_bytes_ = shared_arena_.size();
+    }
   }
 
   /// Rewinds per-block state for the next block of the same launch.
@@ -188,6 +204,42 @@ class Block {
   std::uint32_t dim() const { return block_dim_; }
   std::uint32_t grid_dim() const { return grid_dim_; }
   std::uint32_t warps() const { return (block_dim_ + 31) / 32; }
+  const sim::GpuSpec& spec() const { return spec_; }
+
+  /// Shared-memory bytes allocated so far in this block.
+  std::size_t shared_bytes_used() const { return shared_used_; }
+
+  /// Word offset of `p` inside this block's shared arena (bank = offset
+  /// mod 32).
+  std::size_t shared_word_offset(const void* p) const {
+    const auto addr = reinterpret_cast<std::uintptr_t>(p);
+    const auto base = reinterpret_cast<std::uintptr_t>(shared_arena_.data());
+    assert(addr >= base && addr < base + shared_arena_.size());
+    return (addr - base) / 4;
+  }
+
+  /// The device's memo of block-collective stats (simt/collectives.h).
+  StatsMemo& collective_memo() { return dev_.collective_memo(); }
+
+  /// Runs a pure fragment through `memo` (simt/memo.h). On a hit,
+  /// `replay()` computes the fragment's output on the host and the recorded
+  /// stats delta is added to the launch; on a miss, `simulate()` runs it
+  /// lane by lane and its delta is recorded under `key`.
+  template <typename Simulate, typename Replay>
+  void memoized(StatsMemo& memo, std::uint64_t key, Simulate&& simulate,
+                Replay&& replay) {
+    if (const StatsDelta* hit = memo.find(key)) {
+      const StatsDelta delta = *hit;
+      replay();
+      delta.apply(stats_);
+      return;
+    }
+    const sim::KernelStats before = stats_;
+    simulate();
+    if (const auto delta = StatsDelta::between(before, stats_)) {
+      memo.insert(key, *delta);
+    }
+  }
 
   /// Allocate a shared-memory array for this block. Counts against the
   /// modeled 48 KB shared-memory budget; contents persist across regions
@@ -223,6 +275,14 @@ class Block {
  private:
   void finish_region();
 
+  /// Longest per-lane access log of one warp in the current region.
+  struct WarpMax {
+    std::size_t global = 0;
+    std::size_t shared = 0;
+    std::size_t atomics = 0;
+  };
+
+  Device& dev_;
   const sim::GpuSpec& spec_;
   sim::KernelStats& stats_;
   std::uint32_t block_id_;
@@ -231,6 +291,7 @@ class Block {
   std::size_t shared_used_ = 0;
   std::vector<std::byte> shared_arena_;
   std::vector<Thread> lanes_;
+  std::vector<WarpMax> warp_max_;
 };
 
 /// Launch a kernel: `body(Block&)` once per block. Returns the counted work;
@@ -242,7 +303,7 @@ sim::KernelStats launch(Device& dev, LaunchConfig cfg, KernelBody&& body) {
   stats.blocks = cfg.grid_blocks;
   stats.warps = static_cast<std::uint64_t>(cfg.grid_blocks) *
                 ((cfg.block_threads + 31) / 32);
-  Block blk(dev.spec(), stats, 0, cfg.block_threads, cfg.grid_blocks);
+  Block blk(dev, stats, 0, cfg.block_threads, cfg.grid_blocks);
   for (std::uint32_t b = 0; b < cfg.grid_blocks; ++b) {
     blk.reset_for_block(b);
     body(blk);
