@@ -16,12 +16,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/query.h"
 #include "index/io.h"
+#include "util/counters.h"
 #include "util/stats.h"
 #include "workload/corpus.h"
 #include "workload/querylog.h"
@@ -141,14 +143,14 @@ class Json {
 
   std::string dump(int indent = 0) const {
     std::string out;
-    write(out, indent);
+    write(out, indent, /*compact=*/false);
     return out;
   }
 
   /// Compact single-line form (no whitespace): one JSONL record per call.
   std::string dump_line() const {
     std::string out;
-    write_line(out);
+    write(out, 0, /*compact=*/true);
     return out;
   }
 
@@ -177,8 +179,9 @@ class Json {
     out += '"';
   }
 
-  void write(std::string& out, int indent) const {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
+  /// Indented (one item per line, two more spaces per level) or compact
+  /// (no whitespace at all); empty containers print as [] / {} either way.
+  void write(std::string& out, int indent, bool compact) const {
     if (std::holds_alternative<std::nullptr_t>(v_)) {
       out += "null";
     } else if (const bool* b = std::get_if<bool>(&v_)) {
@@ -193,60 +196,28 @@ class Json {
       }
     } else if (const std::string* s = std::get_if<std::string>(&v_)) {
       write_escaped(out, *s);
-    } else if (const Elements* els = std::get_if<Elements>(&v_)) {
-      if (els->empty()) { out += "[]"; return; }
-      out += "[\n";
-      for (std::size_t i = 0; i < els->size(); ++i) {
-        out += pad + "  ";
-        (*els)[i].write(out, indent + 2);
-        out += i + 1 < els->size() ? ",\n" : "\n";
+    } else {
+      const Elements* els = std::get_if<Elements>(&v_);
+      const Members* ms = std::get_if<Members>(&v_);
+      const std::size_t n = els != nullptr ? els->size() : ms->size();
+      out += els != nullptr ? '[' : '{';
+      std::string pad;  // line break + indent before each item and the close
+      if (!compact && n > 0) {
+        pad = "\n" + std::string(static_cast<std::size_t>(indent), ' ');
       }
-      out += pad + "]";
-    } else if (const Members* ms = std::get_if<Members>(&v_)) {
-      if (ms->empty()) { out += "{}"; return; }
-      out += "{\n";
-      for (std::size_t i = 0; i < ms->size(); ++i) {
-        out += pad + "  ";
-        write_escaped(out, (*ms)[i].first);
-        out += ": ";
-        (*ms)[i].second.write(out, indent + 2);
-        out += i + 1 < ms->size() ? ",\n" : "\n";
-      }
-      out += pad + "}";
-    }
-  }
-
-  void write_line(std::string& out) const {
-    if (std::holds_alternative<std::nullptr_t>(v_)) {
-      out += "null";
-    } else if (const bool* b = std::get_if<bool>(&v_)) {
-      out += *b ? "true" : "false";
-    } else if (const double* d = std::get_if<double>(&v_)) {
-      if (!std::isfinite(*d)) {
-        out += "null";
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.12g", *d);
-        out += buf;
-      }
-    } else if (const std::string* s = std::get_if<std::string>(&v_)) {
-      write_escaped(out, *s);
-    } else if (const Elements* els = std::get_if<Elements>(&v_)) {
-      out += '[';
-      for (std::size_t i = 0; i < els->size(); ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         if (i > 0) out += ',';
-        (*els)[i].write_line(out);
+        if (!compact) out += pad + "  ";
+        if (els != nullptr) {
+          (*els)[i].write(out, indent + 2, compact);
+        } else {
+          write_escaped(out, (*ms)[i].first);
+          out += compact ? ":" : ": ";
+          (*ms)[i].second.write(out, indent + 2, compact);
+        }
       }
-      out += ']';
-    } else if (const Members* ms = std::get_if<Members>(&v_)) {
-      out += '{';
-      for (std::size_t i = 0; i < ms->size(); ++i) {
-        if (i > 0) out += ',';
-        write_escaped(out, (*ms)[i].first);
-        out += ':';
-        (*ms)[i].second.write_line(out);
-      }
-      out += '}';
+      out += pad;
+      out += els != nullptr ? ']' : '}';
     }
   }
 
@@ -370,17 +341,23 @@ class TraceWriter {
   std::uint64_t records_ = 0;
 };
 
-/// Copy/compute-overlap counters (DESIGN.md §10) as a JSON object.
-inline Json overlap_json(const core::OverlapCounters& o) {
+/// A counter struct (util/counters.h) as a JSON object, keys in table
+/// order: counts as numbers, durations in microseconds, nested counter
+/// structs as nested objects.
+template <class T>
+Json counters_json(const T& c) {
   Json j = Json::object();
-  j["saved_us"] = o.saved.us();
-  j["prefetch_issued"] = o.prefetch_issued;
-  j["prefetch_used"] = o.prefetch_used;
-  j["prefetch_dropped"] = o.prefetch_dropped;
-  j["cpu_busy_us"] = o.cpu_busy.us();
-  j["gpu_busy_us"] = o.gpu_busy.us();
-  j["h2d_busy_us"] = o.h2d_busy.us();
-  j["d2h_busy_us"] = o.d2h_busy.us();
+  util::for_each_field<T>([&](const auto& f) {
+    const auto& v = c.*f.member;
+    using M = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<M, sim::Duration>) {
+      j[f.key] = v.us();
+    } else if constexpr (std::is_integral_v<M>) {
+      j[f.key] = v;
+    } else {
+      j[f.key] = counters_json(v);
+    }
+  });
   return j;
 }
 
@@ -391,34 +368,6 @@ inline Json resource_utilization_json(
   for (std::size_t r = 0; r < sim::kNumResources; ++r) {
     j[sim::resource_name(static_cast<sim::Resource>(r))] = u[r];
   }
-  return j;
-}
-
-/// Fault/degradation counters (DESIGN.md §11/§16) as a JSON object.
-inline Json fault_json(const fault::FaultCounters& f) {
-  Json j = Json::object();
-  j["gpu_faults"] = f.gpu_faults;
-  j["pcie_errors"] = f.pcie_errors;
-  j["split_leg_faults"] = f.split_leg_faults;
-  j["prefetch_faults"] = f.prefetch_faults;
-  j["oom_faults"] = f.oom_faults;
-  j["oom_evictions"] = f.oom_evictions;
-  j["oom_evicted_bytes"] = f.oom_evicted_bytes;
-  j["oom_unfused"] = f.oom_unfused;
-  j["oom_degraded_steps"] = f.oom_degraded_steps;
-  j["gpu_wasted_us"] = f.gpu_wasted.us();
-  j["pcie_retry_us"] = f.pcie_retry_time.us();
-  j["oom_recovery_us"] = f.oom_recovery.us();
-  j["replica_failures"] = f.replica_failures;
-  j["failovers"] = f.failovers;
-  j["slow_replicas"] = f.slow_replicas;
-  j["backoff_us"] = f.backoff_time.us();
-  j["breaker_opens"] = f.breaker_opens;
-  j["breaker_short_circuits"] = f.breaker_short_circuits;
-  j["deadline_misses"] = f.deadline_misses;
-  j["shards_dropped"] = f.shards_dropped;
-  j["degraded_queries"] = f.degraded_queries;
-  j["shed_queries"] = f.shed_queries;
   return j;
 }
 

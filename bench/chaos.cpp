@@ -117,8 +117,7 @@ std::vector<Schedule> schedules() {
 struct CellResult {
   std::uint64_t digest = 0;
   sim::Duration total;  ///< sum of per-query totals (tenancy: makespan)
-  fault::FaultCounters faults;
-  core::OverlapCounters overlap;
+  core::CounterTotals totals;  ///< summed over every query of the cell
   bool stage_identity = true;
 };
 
@@ -127,9 +126,9 @@ CellResult run_cell(Mode mode, const index::InvertedIndex& idx,
                     const fault::FaultConfig& faults) {
   CellResult out;
   Digest dig;
-  const auto note = [&](const core::QueryMetrics& m) {
-    out.faults += m.faults;
-    out.overlap += m.overlap;
+  const auto note = [&](const core::QueryResult& r) {
+    out.totals.add(r);
+    const core::QueryMetrics& m = r.metrics;
     if (m.decode + m.intersect + m.transfer + m.rank !=
         m.total + m.overlap.saved) {
       out.stage_identity = false;
@@ -149,15 +148,13 @@ CellResult run_cell(Mode mode, const index::InvertedIndex& idx,
     const auto results = dm.run(load);
     for (const auto& r : results) {
       dig.add(r.result);
-      note(r.result.metrics);
+      note(r.result);
       out.total = sim::max(out.total, r.finish);
     }
-    // The engine-level rollup equals the per-query sum by construction;
-    // trust but verify (it is the surface the service sim reads).
-    if (dm.run_faults().gpu_faults != out.faults.gpu_faults ||
-        dm.run_faults().oom_faults != out.faults.oom_faults) {
-      out.stage_identity = false;
-    }
+    // The device's roll-up equals the per-query sum by construction;
+    // trust but verify, whole struct (it is the surface the service sim
+    // reads).
+    if (!(dm.run_totals() == out.totals)) out.stage_identity = false;
   } else {
     core::HybridOptions opt;
     if (mode == Mode::kSplit) {
@@ -169,7 +166,7 @@ CellResult run_cell(Mode mode, const index::InvertedIndex& idx,
     for (const auto& q : queries) {
       const auto res = engine.execute(q);
       dig.add(res);
-      note(res.metrics);
+      note(res);
       out.total += res.metrics.total;
     }
   }
@@ -223,36 +220,32 @@ int main() {
           std::string(mode_name(mode)) + "/" + s.name;
       const CellResult a = run_cell(mode, idx, queries, s.cfg);
       const CellResult b = run_cell(mode, idx, queries, s.cfg);
+      const fault::FaultCounters& f = a.totals.faults;
 
       // 1. golden parity with the all-CPU reference.
       check(a.digest == ref.h, "top-k digest != CPU reference", where);
       // 3. determinism: rebuild + rerun reproduces everything.
       check(a.digest == b.digest, "rerun digest differs", where);
       check(a.total == b.total, "rerun total time differs", where);
-      check(a.faults.gpu_faults == b.faults.gpu_faults &&
-                a.faults.pcie_errors == b.faults.pcie_errors &&
-                a.faults.oom_faults == b.faults.oom_faults &&
-                a.faults.oom_recovery == b.faults.oom_recovery &&
-                a.faults.gpu_wasted == b.faults.gpu_wasted,
-            "rerun fault counters differ", where);
+      check(a.totals == b.totals, "rerun counters differ", where);
       // 4. per-query stage identity held everywhere.
       check(a.stage_identity, "stage identity broke", where);
       // 6. prefetch conservation.
-      check(a.overlap.prefetch_used + a.overlap.prefetch_dropped ==
-                a.overlap.prefetch_issued,
+      const core::OverlapCounters& ov = a.totals.overlap;
+      check(ov.prefetch_used + ov.prefetch_dropped == ov.prefetch_issued,
             "prefetch counters not conserved", where);
       // 5. coverage: armed schedules fire; disarmed/silent stay silent.
       if (s.expect_gpu) {
-        check(a.faults.gpu_faults > 0, "gpu site never fired", where);
+        check(f.gpu_faults > 0, "gpu site never fired", where);
       }
       if (s.expect_pcie) {
-        check(a.faults.pcie_errors > 0, "pcie site never fired", where);
+        check(f.pcie_errors > 0, "pcie site never fired", where);
       }
       if (s.expect_oom) {
-        check(a.faults.oom_faults > 0, "oom site never fired", where);
+        check(f.oom_faults > 0, "oom site never fired", where);
       }
       if (!s.expect_gpu && !s.expect_pcie && !s.expect_oom) {
-        check(!a.faults.any(), "disarmed/silent schedule injected", where);
+        check(!f.any(), "disarmed/silent schedule injected", where);
       }
       // 2. armed-but-silent == disarmed to the picosecond.
       if (std::strcmp(s.name, "disarmed") == 0) {
@@ -267,11 +260,11 @@ int main() {
       std::printf(
           "%-8s %-9s %10.3f %8llu %8llu %8llu %8llu %8llu %6s\n",
           mode_name(mode), s.name, a.total.ms(),
-          static_cast<unsigned long long>(a.faults.gpu_faults),
-          static_cast<unsigned long long>(a.faults.pcie_errors),
-          static_cast<unsigned long long>(a.faults.oom_faults),
-          static_cast<unsigned long long>(a.faults.split_leg_faults),
-          static_cast<unsigned long long>(a.faults.oom_degraded_steps),
+          static_cast<unsigned long long>(f.gpu_faults),
+          static_cast<unsigned long long>(f.pcie_errors),
+          static_cast<unsigned long long>(f.oom_faults),
+          static_cast<unsigned long long>(f.split_leg_faults),
+          static_cast<unsigned long long>(f.oom_degraded_steps),
           a.digest == ref.h ? "ok" : "FAIL");
 
       bench::Json cell = bench::Json::object();
@@ -282,7 +275,7 @@ int main() {
       cell["parity"] = a.digest == ref.h;
       cell["deterministic"] = a.digest == b.digest && a.total == b.total;
       cell["stage_identity"] = a.stage_identity;
-      cell["faults"] = bench::fault_json(a.faults);
+      cell["faults"] = bench::counters_json(f);
       cells.push_back(std::move(cell));
     }
     std::printf("\n");
@@ -315,7 +308,7 @@ int main() {
     }
     check(shed + answered == queries.size(), "shed + answered != offered",
           "tenancy/shed");
-    check(shed == dm.run_faults().shed_queries,
+    check(shed == dm.run_totals().faults.shed_queries,
           "shed rollup != observed sheds", "tenancy/shed");
     check(shed > 0, "admission control never shed", "tenancy/shed");
     std::printf(

@@ -80,8 +80,8 @@ int main() {
         ccfg.replicas_per_shard = 2;
         ccfg.arrival_qps = qps;
         ccfg.seed = 2027;
-        ccfg.straggler.probability = 0.05;
-        ccfg.straggler.slowdown = 20.0;
+        ccfg.faults.slow.probability = 0.05;
+        ccfg.faults.slow_factor = 20.0;
         ccfg.hedge.enabled = hedging;
         ccfg.hedge.percentile = 95.0;
         ccfg.hedge.min_samples = 16;
@@ -93,6 +93,7 @@ int main() {
 
         cluster::ClusterBroker broker(idx, ccfg);
         const auto res = broker.run(stream);
+        const core::CacheCounters& engine_cache = res.totals.cache;
 
         double util = 0.0;
         for (const double u : res.shard_utilization) util += u;
@@ -109,8 +110,8 @@ int main() {
                     100.0 * res.cache.hit_rate(),
                     static_cast<unsigned long long>(res.hedge.issued),
                     static_cast<unsigned long long>(res.hedge.won),
-                    100.0 * res.engine_cache.device_hit_rate(),
-                    100.0 * res.engine_cache.host_hit_rate());
+                    100.0 * engine_cache.device_hit_rate(),
+                    100.0 * engine_cache.host_hit_rate());
 
         bench::Json row = bench::Json::object();
         row["shards"] = shards;
@@ -123,12 +124,12 @@ int main() {
         row["hedges_issued"] = res.hedge.issued;
         row["hedges_won"] = res.hedge.won;
         bench::Json ec = bench::Json::object();
-        ec["device_hit_rate"] = res.engine_cache.device_hit_rate();
-        ec["host_hit_rate"] = res.engine_cache.host_hit_rate();
-        ec["device_hits"] = res.engine_cache.device_hits;
-        ec["device_evictions"] = res.engine_cache.device_evictions;
-        ec["host_hits"] = res.engine_cache.host_hits;
-        ec["host_evictions"] = res.engine_cache.host_evictions;
+        ec["device_hit_rate"] = engine_cache.device_hit_rate();
+        ec["host_hit_rate"] = engine_cache.host_hit_rate();
+        ec["device_hits"] = engine_cache.device_hits;
+        ec["device_evictions"] = engine_cache.device_evictions;
+        ec["host_hits"] = engine_cache.host_hits;
+        ec["host_evictions"] = engine_cache.host_evictions;
         row["engine_cache"] = std::move(ec);
         rows.push_back(std::move(row));
       }

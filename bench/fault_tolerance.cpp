@@ -122,12 +122,12 @@ int main() {
         cluster::ClusterBroker broker(idx,
                                       make_config(rate, deadline, breaker));
         const auto res = broker.run(stream);
+        const fault::FaultCounters& f = res.totals.faults;
 
         const double degraded_frac =
             res.gathered_queries == 0
                 ? 0.0
-                : double(res.faults.degraded_queries) /
-                      double(res.gathered_queries);
+                : double(f.degraded_queries) / double(res.gathered_queries);
 
         std::printf(
             "%-6.2f %-9s %-7s %9.3f %9.3f %8.1f%% %6.1f%% %8llu %8llu "
@@ -135,11 +135,10 @@ int main() {
             rate, dl.name, onoff(breaker), res.response_ms.percentile(50),
             res.response_ms.percentile(99), 100.0 * res.mean_coverage(),
             100.0 * degraded_frac,
-            static_cast<unsigned long long>(res.faults.failovers),
-            static_cast<unsigned long long>(res.faults.shards_dropped),
-            static_cast<unsigned long long>(
-                res.faults.breaker_short_circuits),
-            static_cast<unsigned long long>(res.faults.deadline_misses));
+            static_cast<unsigned long long>(f.failovers),
+            static_cast<unsigned long long>(f.shards_dropped),
+            static_cast<unsigned long long>(f.breaker_short_circuits),
+            static_cast<unsigned long long>(f.deadline_misses));
 
         bench::Json row = bench::Json::object();
         row["fault_rate"] = rate;
@@ -151,7 +150,7 @@ int main() {
         row["mean_coverage"] = res.mean_coverage();
         row["min_coverage"] = res.min_coverage;
         row["degraded_fraction"] = degraded_frac;
-        row["faults"] = bench::fault_json(res.faults);
+        row["faults"] = bench::counters_json(f);
         rows.push_back(std::move(row));
       }
     }
@@ -173,19 +172,19 @@ int main() {
         {0, 0, sim::Duration{}, sim::Duration::from_seconds(3600)});
     cluster::ClusterBroker broker(idx, ccfg);
     const auto res = broker.run(stream);
+    const fault::FaultCounters& f = res.totals.faults;
     std::printf("%-7s %9.3f %9.3f %9.3f %8llu %8llu %8.2fms\n",
                 onoff(breaker), res.response_ms.percentile(50),
                 res.response_ms.percentile(99), res.response_ms.mean(),
-                static_cast<unsigned long long>(res.faults.failovers),
-                static_cast<unsigned long long>(
-                    res.faults.breaker_short_circuits),
-                res.faults.backoff_time.ms());
+                static_cast<unsigned long long>(f.failovers),
+                static_cast<unsigned long long>(f.breaker_short_circuits),
+                f.backoff_time.ms());
 
     bench::Json row = bench::Json::object();
     row["breaker"] = breaker;
     row["response_ms"] = bench::latency_json(res.response_ms);
     row["mean_coverage"] = res.mean_coverage();
-    row["faults"] = bench::fault_json(res.faults);
+    row["faults"] = bench::counters_json(f);
     outage_rows.push_back(std::move(row));
   }
   std::printf("\n");
@@ -221,12 +220,12 @@ int main() {
       opt.faults.seed = 4242;
       core::HybridEngine engine(idx, {}, opt);
 
-      fault::FaultCounters f;
+      core::CounterTotals counted;
       sim::Duration total;
       bool parity = true;
       for (std::size_t i = 0; i < sub_n; ++i) {
         const auto res = engine.execute(sub[i]);
-        f += res.metrics.faults;
+        counted.add(res);
         total += res.metrics.total;
         if (res.topk.size() != want[i].topk.size()) parity = false;
         for (std::size_t r = 0; parity && r < res.topk.size(); ++r) {
@@ -235,6 +234,7 @@ int main() {
         }
       }
       const double mean_ms = 1000.0 * total.seconds() / double(sub_n);
+      const fault::FaultCounters& f = counted.faults;
       std::printf("%-6.2f %9.3f %8llu %8llu %8llu %8llu %8llu %7s\n", rate,
                   mean_ms, static_cast<unsigned long long>(f.gpu_faults),
                   static_cast<unsigned long long>(f.split_leg_faults),
@@ -246,7 +246,7 @@ int main() {
       row["fault_rate"] = rate;
       row["mean_ms"] = mean_ms;
       row["parity"] = parity;
-      row["faults"] = bench::fault_json(f);
+      row["faults"] = bench::counters_json(f);
       split_rows.push_back(std::move(row));
     }
   }
@@ -280,7 +280,7 @@ int main() {
     for (const auto& r : results) {
       resp.add((r.finish - r.arrival).ms());
     }
-    const auto& f = dm.run_faults();
+    const auto& f = dm.run_totals().faults;
     std::printf("%-6.2f %9.3f %9.3f %8llu %8llu %8llu %8llu %8llu\n", rate,
                 resp.percentile(50), resp.percentile(99),
                 static_cast<unsigned long long>(f.gpu_faults),
@@ -292,7 +292,7 @@ int main() {
     row["fault_rate"] = rate;
     row["response_ms"] = bench::latency_json(resp);
     row["batch_groups"] = dm.batch_groups();
-    row["faults"] = bench::fault_json(f);
+    row["faults"] = bench::counters_json(f);
     tenancy_rows.push_back(std::move(row));
   }
   std::printf("\n");

@@ -133,21 +133,20 @@ int main() {
       opt.gpu.double_buffer = dbuf;
       core::HybridEngine engine(idx, {}, opt);
       double serial_ms = 0.0, critical_ms = 0.0;
-      sim::Duration h2d_busy;
-      core::OverlapCounters overlap;
+      core::CounterTotals totals;
       for (const auto& q : log) {
         const auto res = engine.execute(q);
         const auto& m = res.metrics;
         serial_ms += (m.total + m.overlap.saved).ms();
         critical_ms += m.total.ms();
-        h2d_busy += m.overlap.h2d_busy;
-        overlap += m.overlap;
+        totals.add(res);
       }
+      const core::OverlapCounters& overlap = totals.overlap;
       const auto n = static_cast<double>(log.size());
       serial_ms /= n;
       critical_ms /= n;
       const double h2d_util =
-          critical_ms > 0.0 ? h2d_busy.ms() / n / critical_ms : 0.0;
+          critical_ms > 0.0 ? overlap.h2d_busy.ms() / n / critical_ms : 0.0;
       char label[32];
       std::snprintf(label, sizeof(label), "prefetch=%d dbuffer=%d",
                     prefetch ? 1 : 0, dbuf ? 1 : 0);
@@ -182,7 +181,7 @@ int main() {
       row["saved_ms"] = serial_ms - critical_ms;
       row["h2d_utilization"] = h2d_util;
       row["resource_utilization"] = bench::resource_utilization_json(util);
-      row["overlap"] = bench::overlap_json(overlap);
+      row["overlap"] = bench::counters_json(overlap);
       configs.push_back(std::move(row));
     }
   }

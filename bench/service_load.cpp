@@ -31,26 +31,12 @@ int main() {
 
   // One execution pass per engine; the load sweep reuses the times.
   std::fprintf(stderr, "[service_load] measuring service times...\n");
-  core::OverlapCounters cpu_overlap;
-  const auto cpu_times = service::measure_service_times(
-      cpu_engine, log, nullptr, nullptr, &cpu_overlap);
-  core::OverlapCounters grif_overlap;
-  const auto grif_times = service::measure_service_times(
-      griffin, log, nullptr, nullptr, &grif_overlap);
-
-  // Per-resource busy fraction of a run: the engines' summed timeline busy
-  // over the FCFS makespan at this load (the same rule the engine-executing
-  // run_service overload applies).
-  const auto fractions = [](const core::OverlapCounters& o,
-                            sim::Duration horizon) {
-    std::array<double, sim::kNumResources> u{};
-    if (horizon.ps() > 0) {
-      for (std::size_t r = 0; r < sim::kNumResources; ++r) {
-        u[r] = o.busy(static_cast<sim::Resource>(r)) / horizon;
-      }
-    }
-    return u;
-  };
+  core::CounterTotals cpu_totals;
+  const auto cpu_times =
+      service::measure_service_times(cpu_engine, log, &cpu_totals);
+  core::CounterTotals grif_totals;
+  const auto grif_times =
+      service::measure_service_times(griffin, log, &grif_totals);
 
   std::printf("%-10s %-9s %12s %12s %12s %12s %8s\n", "load(qps)", "engine",
               "util", "p50 resp", "p95 resp", "p99 resp", "h2d");
@@ -62,8 +48,11 @@ int main() {
         std::span<const sim::Duration>(cpu_times), scfg);
     const auto rg = service::run_service(
         std::span<const sim::Duration>(grif_times), scfg);
-    const auto uc = fractions(cpu_overlap, rc.horizon);
-    const auto ug = fractions(grif_overlap, rg.horizon);
+    // Per-resource busy fractions: the engines' summed timeline busy over
+    // the FCFS makespan at this load (the engine-executing run_service
+    // overload's rule).
+    const auto uc = cpu_totals.overlap.busy_fractions(rc.horizon);
+    const auto ug = grif_totals.overlap.busy_fractions(rg.horizon);
     std::printf("%-10.0f %-9s %11.0f%% %11.2f %11.2f %11.2f %7.1f%%\n", qps,
                 "cpu", 100.0 * rc.utilization, rc.response_ms.percentile(50),
                 rc.response_ms.percentile(95), rc.response_ms.percentile(99),
@@ -94,7 +83,7 @@ int main() {
   root["fast_mode"] = bench::fast_mode();
   root["queries"] = static_cast<std::uint64_t>(log.size());
   root["loads"] = std::move(rows);
-  root["griffin_overlap"] = bench::overlap_json(grif_overlap);
+  root["griffin_overlap"] = bench::counters_json(grif_totals.overlap);
   bench::write_bench_json("service_load", root);
   return 0;
 }

@@ -29,13 +29,13 @@ int main() {
   util::PercentileTracker cpu_ms, grif_ms;
   cpu_ms.reserve(log.size());
   grif_ms.reserve(log.size());
-  core::OverlapCounters grif_overlap;
+  core::CounterTotals grif_totals;
   std::size_t done = 0;
   for (const auto& q : log) {
     cpu_ms.add(cpu_engine.execute(q).metrics.total.ms());
     const auto grif_res = griffin.execute(q);
     grif_ms.add(grif_res.metrics.total.ms());
-    grif_overlap += grif_res.metrics.overlap;
+    grif_totals.add(grif_res);
     if (++done % 100 == 0) {
       std::fprintf(stderr, "[tail_latency] %zu/%zu queries\n", done,
                    log.size());
@@ -69,7 +69,7 @@ int main() {
   root["cpu"] = bench::latency_json(cpu_ms);
   root["griffin"] = bench::latency_json(grif_ms);
   root["mean_speedup"] = cpu_ms.mean() / grif_ms.mean();
-  root["griffin_overlap"] = bench::overlap_json(grif_overlap);
+  root["griffin_overlap"] = bench::counters_json(grif_totals.overlap);
   bench::write_bench_json("tail_latency", root);
   return 0;
 }

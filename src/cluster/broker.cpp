@@ -9,16 +9,10 @@ namespace griffin::cluster {
 
 namespace {
 
-/// Normalizes the config the broker actually runs with: the legacy
-/// StragglerConfig knobs become the fault injector's "slow" site (unless
-/// that site was set directly, which wins), and the fault seed absorbs the
-/// cluster seed so two runs differing only in `seed` see different fault
-/// placements. With every site disarmed none of this is ever read.
+/// Normalizes the config the broker actually runs with: the fault seed
+/// absorbs the cluster seed so two runs differing only in `seed` see
+/// different fault placements. With every site disarmed it is never read.
 ClusterConfig normalize(ClusterConfig cfg) {
-  if (cfg.straggler.probability > 0.0 && !cfg.faults.slow.armed()) {
-    cfg.faults.slow.probability = cfg.straggler.probability;
-    cfg.faults.slow_factor = cfg.straggler.slowdown;
-  }
   cfg.faults.seed ^= cfg.seed * 0x9e3779b97f4a7c15ULL;
   return cfg;
 }
@@ -76,6 +70,7 @@ core::QueryResult ClusterBroker::execute(const core::Query& q) {
     out.metrics.cache += part.metrics.cache;
     out.metrics.overlap += part.metrics.overlap;
     out.metrics.faults += part.metrics.faults;
+    out.metrics.simd += part.metrics.simd;
     // The merged result's trace is the concatenation of the shard plans in
     // shard order: every step the cluster executed for this query.
     out.trace.insert(out.trace.end(), part.trace.begin(), part.trace.end());
@@ -89,6 +84,7 @@ core::QueryResult ClusterBroker::execute(const core::Query& q) {
 
 ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
   ClusterResult res;
+  fault::FaultCounters& faults = res.totals.faults;  // broker-level counts
   service::PoissonArrivals arrivals(cfg_.arrival_qps, cfg_.seed);
   ResultCache cache(cfg_.cache_capacity, cfg_.cache_budget_bytes);
   HedgeController hedge(cfg_.hedge);
@@ -151,10 +147,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
       // attempts, and retries never change the bits a shard returns.
       core::QueryResult part = node.execute(q);
       parts[s] = std::move(part.topk);
-      res.engine_cache += part.metrics.cache;
-      res.trace.add(part.trace);
-      res.engine_overlap += part.metrics.overlap;
-      res.faults += part.metrics.faults;
+      res.totals.add(part);
       const sim::Duration svc = part.metrics.total;
       if (can_hedge &&
           cfg_.hedge.trigger == HedgeTrigger::kBottleneckOccupancy) {
@@ -177,17 +170,17 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         CircuitBreaker& breaker = breakers[s][r];
         if (!breaker.allow(t_now)) {
           // Open breaker: skip the replica instantly (no crash_detect).
-          ++res.faults.breaker_short_circuits;
+          ++faults.breaker_short_circuits;
           continue;
         }
         if (injector_.replica_down(s, r, t_now)) {
-          ++res.faults.replica_failures;
-          if (breaker.record_failure(t_now)) ++res.faults.breaker_opens;
+          ++faults.replica_failures;
+          if (breaker.record_failure(t_now)) ++faults.breaker_opens;
           t_now += cfg_.crash_detect;  // timeout discovering the crash
           const sim::Duration backoff =
               cfg_.retry_backoff * std::ldexp(1.0, static_cast<int>(attempt));
           t_now += backoff;
-          res.faults.backoff_time += backoff;
+          faults.backoff_time += backoff;
           continue;
         }
 
@@ -197,7 +190,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         sim::Duration svc_r = svc;
         if (r == 0 && injector_.slow(qi, s)) {
           svc_r = svc * cfg_.faults.slow_factor;
-          ++res.faults.slow_replicas;
+          ++faults.slow_replicas;
         }
         const service::Completion c = servers[s][r].submit(t_now, svc_r);
         if (r == 0) depth[s].observe(t_now, c.done);
@@ -233,7 +226,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         }
 
         breaker.record_success();
-        if (attempt > 0) ++res.faults.failovers;
+        if (attempt > 0) ++faults.failovers;
         answered = true;
         break;
       }
@@ -252,14 +245,14 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         ++answered_count;
       } else {
         parts[s].clear();
-        ++res.faults.shards_dropped;
+        ++faults.shards_dropped;
         // The give-up instant bounds this shard's contribution to the
         // critical path: the deadline when that is what expired, else the
         // clock when the attempt budget ran out.
         sim::Duration gave_up = t_now;
         if (deadline_on) {
           if (deadline_missed || t_now >= deadline_at) {
-            ++res.faults.deadline_misses;
+            ++faults.deadline_misses;
             gave_up = deadline_at;
           }
         }
@@ -273,7 +266,7 @@ ClusterResult ClusterBroker::run(const std::vector<core::Query>& queries) {
         nodes_.empty() ? 1.0
                        : double(answered_count) / double(nodes_.size());
     const bool degraded = answered_count < nodes_.size();
-    if (degraded) ++res.faults.degraded_queries;
+    if (degraded) ++faults.degraded_queries;
     res.coverage_sum += coverage;
     res.min_coverage = std::min(res.min_coverage, coverage);
     ++res.gathered_queries;

@@ -36,20 +36,6 @@
 
 namespace griffin::cluster {
 
-/// Deterministic slow-node injection: with `probability` per (query, shard),
-/// the *primary* replica's service time is multiplied by `slowdown` (a GC
-/// pause, a flaky disk, a noisy neighbor). The hedge replica is a different
-/// machine and runs at normal speed — the scenario hedging exists for.
-///
-/// Alias kept for existing callers/benches: the broker folds this into the
-/// fault injector's "slow" site (ClusterConfig::faults) at construction —
-/// one injection mechanism, two spellings. Setting faults.slow directly
-/// takes precedence.
-struct StragglerConfig {
-  double probability = 0.0;
-  double slowdown = 10.0;
-};
-
 struct ClusterConfig {
   std::uint32_t num_shards = 4;
   PartitionStrategy partition = PartitionStrategy::kRoundRobin;
@@ -67,12 +53,12 @@ struct ClusterConfig {
   /// Gather-merge cost charged per participating shard.
   sim::Duration merge_per_shard = sim::Duration::from_us(3);
   double arrival_qps = 200.0;
-  StragglerConfig straggler;
   std::uint64_t seed = 1;
 
   /// Fault-injection schedule (DESIGN.md §11). Engine sites (gpu, pcie) are
   /// copied into every shard's HybridOptions with fault_scope = shard id;
-  /// cluster sites (crash, slow, outages) drive the broker's attempt loop.
+  /// cluster sites (crash, slow, outages) drive the broker's attempt loop;
+  /// the slow site is the straggler model (a slow primary replica).
   /// The fault seed is mixed with `seed` at construction so two runs that
   /// differ only in the cluster seed see different fault placements.
   fault::FaultConfig faults;
@@ -115,25 +101,17 @@ struct ClusterResult {
   util::PercentileTracker shard_critical_ms;
   CacheStats cache;
   HedgeStats hedge;
-  /// Shard-engine cache-tier counters (device list cache + host decoded
-  /// cache), summed over every shard execution in the run.
-  core::CacheCounters engine_cache;
-  /// Plan-step aggregate (QueryResult::trace) over every shard execution in
-  /// the run: how the cluster's work split across processors and stages.
-  core::TraceSummary trace;
-  /// Copy/compute-overlap counters (DESIGN.md §10) summed over every shard
-  /// execution in the run.
-  core::OverlapCounters engine_overlap;
+  /// Counters summed over every shard execution in the run (engine cache
+  /// tiers, overlap, engine faults, plan-step aggregate), plus the broker's
+  /// own failure handling in totals.faults (failovers, breaker activity,
+  /// dropped shards, degraded queries).
+  core::CounterTotals totals;
   /// Resident bytes in the broker's result cache at the end of the run.
   std::uint64_t result_cache_bytes = 0;
   std::vector<double> shard_utilization;  ///< primary replica, per shard
   std::uint64_t max_queue_depth = 0;      ///< across primary replicas
   std::uint64_t cache_hits_served = 0;
   sim::Duration horizon;  ///< last event in the run
-
-  /// Fault and degradation counters: engine-level faults summed over every
-  /// shard execution plus the broker's own failure handling.
-  fault::FaultCounters faults;
   /// Coverage (shards answered / total) accumulated over gathered (cache-
   /// missing) queries; mean_coverage() is 1.0 exactly when nothing degraded.
   double coverage_sum = 0.0;
@@ -176,7 +154,7 @@ class ClusterBroker {
   const fault::FaultInjector& injector() const { return injector_; }
 
  private:
-  ClusterConfig cfg_;  ///< normalized: straggler folded into faults.slow
+  ClusterConfig cfg_;  ///< normalized: fault seed mixed with the cluster seed
   fault::FaultInjector injector_;
   std::vector<std::unique_ptr<ShardNode>> nodes_;
 };

@@ -618,23 +618,7 @@ QueryResult run_plan(Planner& planner, StepExecutor& exec, const Query& q) {
   planner.begin(q);
   while (const auto step = planner.next(exec.intermediate_count(),
                                         exec.location())) {
-    // Injected-fault recovery (DESIGN.md §11/§16). kFaultQuery pins every
-    // later decision host-side, so at most one *device* fault fires per
-    // query; the step-scoped statuses leave later placements free, so a
-    // query can ride the OOM ladder more than once.
-    switch (exec.run(*step, q, res)) {
-      case StepStatus::kOk:
-        break;
-      case StepStatus::kOkForceCpu:
-        planner.force_cpu();
-        break;
-      case StepStatus::kFaultQuery:
-        planner.degrade_to_cpu(*step);
-        break;
-      case StepStatus::kFaultStep:
-        planner.degrade_step_to_cpu(*step);
-        break;
-    }
+    planner.recover(*step, exec.run(*step, q, res));
   }
   exec.finish_query(res.metrics);
   return res;

@@ -25,26 +25,6 @@
 
 namespace griffin::core {
 
-/// What StepExecutor::run did with the step, and what the planner must do
-/// next (DESIGN.md §11/§16). run_plan and the tenancy DeviceManager switch
-/// on this; the two abandon statuses both re-emit the step, differing only
-/// in how much of the remaining plan is pinned host-side.
-enum class StepStatus : std::uint8_t {
-  kOk,          ///< step ran (or an optional prefetch was dropped)
-  /// The step completed but the device is no longer trusted for this query
-  /// (a split step's GPU leg was lost and redone host-side): the caller
-  /// pins the remainder via Planner::force_cpu().
-  kOkForceCpu,
-  /// An injected device fault abandoned the step: wasted time charged,
-  /// device caches invalidated; re-plan the whole remainder via
-  /// Planner::degrade_to_cpu().
-  kFaultQuery,
-  /// The OOM ladder bottomed out (rung 3): the step was abandoned but the
-  /// pressure is transient — re-plan just this step via
-  /// Planner::degrade_step_to_cpu(); later steps decide freely.
-  kFaultStep,
-};
-
 class StepExecutor : public ResidencyProbe {
  public:
   /// `svs` and/or `gpu` may be nullptr when the scheduler policy can never
@@ -87,9 +67,8 @@ class StepExecutor : public ResidencyProbe {
 
   /// Executes one step: charges res.metrics through the backend, mirrors
   /// the charges onto the timeline, and appends the StepRecord (with its
-  /// issue/start/end placement) to res.trace. The returned StepStatus tells
-  /// the caller which planner recovery hook to invoke, if any — run_plan
-  /// and the tenancy DeviceManager dispatch on it.
+  /// issue/start/end placement) to res.trace. The caller hands the returned
+  /// StepStatus to Planner::recover.
   StepStatus run(const PlanStep& step, const Query& q, QueryResult& res);
 
   /// Releases device buffers (dropping unconsumed prefetches into m), then

@@ -25,6 +25,18 @@ StepShape Planner::shape_for(std::uint64_t shorter, index::TermId longer_term,
   return s;
 }
 
+void Planner::recover(const PlanStep& step, StepStatus status) {
+  // kFaultQuery pins every later decision host-side, so at most one
+  // *device* fault fires per query; the step-scoped statuses leave later
+  // placements free, so a query can ride the OOM ladder more than once.
+  switch (status) {
+    case StepStatus::kOk: break;
+    case StepStatus::kOkForceCpu: force_cpu(); break;
+    case StepStatus::kFaultQuery: degrade_to_cpu(step); break;
+    case StepStatus::kFaultStep: degrade_step_to_cpu(step); break;
+  }
+}
+
 void Planner::degrade_to_cpu(const PlanStep& step) {
   forced_cpu_ = true;
   // A prefetch staged alongside the faulted step has no consumer anymore

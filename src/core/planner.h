@@ -48,6 +48,26 @@ class ResidencyProbe {
   virtual bool prefetched(index::TermId /*t*/) const { return false; }
 };
 
+/// What StepExecutor::run did with the step, and what the planner must do
+/// next (DESIGN.md §11/§16); Planner::recover dispatches on it. The two
+/// abandon statuses both re-emit the step, differing only in how much of the
+/// remaining plan is pinned host-side.
+enum class StepStatus : std::uint8_t {
+  kOk,          ///< step ran (or an optional prefetch was dropped)
+  /// The step completed but the device is no longer trusted for this query
+  /// (a split step's GPU leg was lost and redone host-side): the caller
+  /// pins the remainder via Planner::force_cpu().
+  kOkForceCpu,
+  /// An injected device fault abandoned the step: wasted time charged,
+  /// device caches invalidated; re-plan the whole remainder via
+  /// Planner::degrade_to_cpu().
+  kFaultQuery,
+  /// The OOM ladder bottomed out (rung 3): the step was abandoned but the
+  /// pressure is transient — re-plan just this step via
+  /// Planner::degrade_step_to_cpu(); later steps decide freely.
+  kFaultStep,
+};
+
 class Planner {
  public:
   Planner(const index::InvertedIndex& idx, const Scheduler& sched,
@@ -63,6 +83,12 @@ class Planner {
   /// Returns nullopt when the plan is complete (after RankStep).
   std::optional<PlanStep> next(std::uint64_t intermediate_count,
                                std::optional<Placement> location);
+
+  /// Injected-fault recovery after `step` ran with `status` (DESIGN.md
+  /// §11/§16): calls the hook below that the status names, if any. The
+  /// one dispatch every step loop (run_plan, the tenancy DeviceManager)
+  /// goes through.
+  void recover(const PlanStep& step, StepStatus status);
 
   /// Degraded execution after an injected GPU device fault (DESIGN.md §11):
   /// `step` is the GPU compute step the executor abandoned. The state

@@ -3,6 +3,7 @@
 // engines can implement it without cycles.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -14,6 +15,7 @@
 #include "sim/cpu_cost_model.h"
 #include "sim/time.h"
 #include "sim/timeline.h"
+#include "util/counters.h"
 
 namespace griffin::core {
 
@@ -141,9 +143,8 @@ struct StepRecord {
 };
 
 /// Order-free aggregate of step records: the cluster/service layers fold
-/// every executed query's trace into one of these (per shard node, per
-/// broker run, per service run) the same way CacheCounters flow.
-struct TraceSummary {
+/// every executed query's trace into one of these through CounterTotals.
+struct TraceSummary : util::Counters<TraceSummary> {
   std::uint64_t steps = 0;
   std::uint64_t decode_steps = 0;
   std::uint64_t intersect_steps = 0;
@@ -206,26 +207,6 @@ struct TraceSummary {
   void add(std::span<const StepRecord> trace) {
     for (const auto& r : trace) add(r);
   }
-  TraceSummary& operator+=(const TraceSummary& o) {
-    steps += o.steps;
-    decode_steps += o.decode_steps;
-    intersect_steps += o.intersect_steps;
-    transfer_steps += o.transfer_steps;
-    rank_steps += o.rank_steps;
-    prefetch_steps += o.prefetch_steps;
-    cpu_intersects += o.cpu_intersects;
-    gpu_intersects += o.gpu_intersects;
-    split_intersects += o.split_intersects;
-    host_decode_steps += o.host_decode_steps;
-    migrations += o.migrations;
-    faulted_steps += o.faulted_steps;
-    leg_faulted_steps += o.leg_faulted_steps;
-    batched_steps += o.batched_steps;
-    step_time += o.step_time;
-    simd += o.simd;
-    return *this;
-  }
-
   /// Fraction of single-processor intersects that ran on the GPU. Split
   /// steps engage both processors at once, so they are excluded here and
   /// reported through split_intersects instead.
@@ -235,14 +216,37 @@ struct TraceSummary {
                   : static_cast<double>(gpu_intersects) /
                         static_cast<double>(n);
   }
+
+  static constexpr auto fields() {
+    using T = TraceSummary;
+    return std::tuple{
+        util::field(&T::steps, "steps"),
+        util::field(&T::decode_steps, "decode_steps"),
+        util::field(&T::intersect_steps, "intersect_steps"),
+        util::field(&T::transfer_steps, "transfer_steps"),
+        util::field(&T::rank_steps, "rank_steps"),
+        util::field(&T::prefetch_steps, "prefetch_steps"),
+        util::field(&T::cpu_intersects, "cpu_intersects"),
+        util::field(&T::gpu_intersects, "gpu_intersects"),
+        util::field(&T::split_intersects, "split_intersects"),
+        util::field(&T::host_decode_steps, "host_decode_steps"),
+        util::field(&T::migrations, "migrations"),
+        util::field(&T::faulted_steps, "faulted_steps"),
+        util::field(&T::leg_faulted_steps, "leg_faulted_steps"),
+        util::field(&T::batched_steps, "batched_steps"),
+        util::field(&T::step_time, "step_time_us"),
+        util::field(&T::simd, "simd"),
+    };
+  }
 };
+static_assert(util::covers<TraceSummary>());
 
 /// Hit/miss/eviction counts for the two engine-side caching tiers: the
 /// device-resident compressed-list cache (gpu/list_cache.h) and the host
 /// decoded-postings cache (cpu/decoded_cache.h). Pure counters — the time
 /// saved by a hit shows up as *absent* charges in the stage durations, so
 /// decode + intersect + transfer + rank still sums to total.
-struct CacheCounters {
+struct CacheCounters : util::Counters<CacheCounters> {
   std::uint64_t device_hits = 0;
   std::uint64_t device_misses = 0;
   std::uint64_t device_evictions = 0;
@@ -250,14 +254,16 @@ struct CacheCounters {
   std::uint64_t host_misses = 0;
   std::uint64_t host_evictions = 0;
 
-  CacheCounters& operator+=(const CacheCounters& o) {
-    device_hits += o.device_hits;
-    device_misses += o.device_misses;
-    device_evictions += o.device_evictions;
-    host_hits += o.host_hits;
-    host_misses += o.host_misses;
-    host_evictions += o.host_evictions;
-    return *this;
+  static constexpr auto fields() {
+    using C = CacheCounters;
+    return std::tuple{
+        util::field(&C::device_hits, "device_hits"),
+        util::field(&C::device_misses, "device_misses"),
+        util::field(&C::device_evictions, "device_evictions"),
+        util::field(&C::host_hits, "host_hits"),
+        util::field(&C::host_misses, "host_misses"),
+        util::field(&C::host_evictions, "host_evictions"),
+    };
   }
 
   static double rate(std::uint64_t hits, std::uint64_t misses) {
@@ -267,13 +273,14 @@ struct CacheCounters {
   double device_hit_rate() const { return rate(device_hits, device_misses); }
   double host_hit_rate() const { return rate(host_hits, host_misses); }
 };
+static_assert(util::covers<CacheCounters>());
 
 /// Asynchronous-execution counters (DESIGN.md §10). `saved` is the exact
 /// picosecond difference between the serial stage sum and the critical
 /// path, so QueryMetrics::total + overlap.saved reproduces the stage sums
 /// bit-exactly; the busy durations measure copy-engine occupancy for
 /// utilization reporting.
-struct OverlapCounters {
+struct OverlapCounters : util::Counters<OverlapCounters> {
   std::uint64_t prefetch_issued = 0;   ///< kPrefetch uploads started
   std::uint64_t prefetch_used = 0;     ///< consumed by a later GPU step
   std::uint64_t prefetch_dropped = 0;  ///< discarded (migration / query end)
@@ -294,18 +301,35 @@ struct OverlapCounters {
     return {};
   }
 
-  OverlapCounters& operator+=(const OverlapCounters& o) {
-    prefetch_issued += o.prefetch_issued;
-    prefetch_used += o.prefetch_used;
-    prefetch_dropped += o.prefetch_dropped;
-    saved += o.saved;
-    cpu_busy += o.cpu_busy;
-    gpu_busy += o.gpu_busy;
-    h2d_busy += o.h2d_busy;
-    d2h_busy += o.d2h_busy;
-    return *this;
+  /// Busy fraction of every resource over `horizon` (zeros when the
+  /// horizon is empty), indexed by sim::Resource.
+  std::array<double, sim::kNumResources> busy_fractions(
+      sim::Duration horizon) const {
+    std::array<double, sim::kNumResources> u{};
+    if (horizon.ps() > 0) {
+      for (std::size_t r = 0; r < sim::kNumResources; ++r) {
+        u[r] = busy(static_cast<sim::Resource>(r)) / horizon;
+      }
+    }
+    return u;
+  }
+
+  /// Table order is the BENCH JSON key order: saved first.
+  static constexpr auto fields() {
+    using O = OverlapCounters;
+    return std::tuple{
+        util::field(&O::saved, "saved_us"),
+        util::field(&O::prefetch_issued, "prefetch_issued"),
+        util::field(&O::prefetch_used, "prefetch_used"),
+        util::field(&O::prefetch_dropped, "prefetch_dropped"),
+        util::field(&O::cpu_busy, "cpu_busy_us"),
+        util::field(&O::gpu_busy, "gpu_busy_us"),
+        util::field(&O::h2d_busy, "h2d_busy_us"),
+        util::field(&O::d2h_busy, "d2h_busy_us"),
+    };
   }
 };
+static_assert(util::covers<OverlapCounters>());
 
 /// Per-query latency breakdown in simulated time. Since the asynchronous
 /// timeline (DESIGN.md §10), `total` is the *critical path* — what a wall
@@ -340,6 +364,34 @@ struct QueryResult {
   /// introspection/replay surface for scheduling experiments.
   std::vector<StepRecord> trace;
 };
+
+/// The roll-up of every per-query counter (DESIGN.md §18): what a broker
+/// run, a service run and a tenancy run report. One type with one `add`, so
+/// no layer can fold some counter structs and drop another.
+struct CounterTotals : util::Counters<CounterTotals> {
+  CacheCounters cache;
+  OverlapCounters overlap;
+  fault::FaultCounters faults;
+  TraceSummary trace;  ///< includes the lane counters (trace.simd)
+
+  void add(const QueryResult& r) {
+    cache += r.metrics.cache;
+    overlap += r.metrics.overlap;
+    faults += r.metrics.faults;
+    trace.add(r.trace);
+  }
+
+  static constexpr auto fields() {
+    using T = CounterTotals;
+    return std::tuple{
+        util::field(&T::cache, "cache"),
+        util::field(&T::overlap, "overlap"),
+        util::field(&T::faults, "faults"),
+        util::field(&T::trace, "trace"),
+    };
+  }
+};
+static_assert(util::covers<CounterTotals>());
 
 /// Common interface: execute one query over a fixed index.
 class Engine {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace griffin::fault {
@@ -85,7 +86,6 @@ struct FaultConfig {
   SiteConfig crash;
   /// Slow replicas (the straggler model): per (query, shard) coordinate,
   /// multiplying the primary replica's service time by `slow_factor`.
-  /// cluster::StragglerConfig is an alias onto this site.
   SiteConfig slow;
   /// Device memory pressure (DESIGN.md §16): per (scope, query, step-index)
   /// coordinate, checked for every step that allocates device memory — a
@@ -131,11 +131,10 @@ struct FaultConfig {
   }
 };
 
-/// Per-query / per-run fault and degradation counters, threaded
-/// QueryMetrics -> ShardNode -> ClusterResult -> ServiceResult exactly like
-/// CacheCounters and OverlapCounters. The engine fills the first block; the
-/// broker and service sim fill the rest.
-struct FaultCounters {
+/// Per-query / per-run fault and degradation counters, rolled up through
+/// core::CounterTotals like every other counter struct (DESIGN.md §18). The
+/// engine fills the first block; the broker and service sim fill the rest.
+struct FaultCounters : util::Counters<FaultCounters> {
   // Engine-level (per query, summed upward).
   std::uint64_t gpu_faults = 0;   ///< GPU steps abandoned mid-query
   std::uint64_t pcie_errors = 0;  ///< failed DMA attempts (retried)
@@ -170,40 +169,35 @@ struct FaultCounters {
   // Service-level (per run).
   std::uint64_t shed_queries = 0;  ///< rejected by admission control
 
-  FaultCounters& operator+=(const FaultCounters& o) {
-    gpu_faults += o.gpu_faults;
-    pcie_errors += o.pcie_errors;
-    split_leg_faults += o.split_leg_faults;
-    prefetch_faults += o.prefetch_faults;
-    oom_faults += o.oom_faults;
-    oom_evictions += o.oom_evictions;
-    oom_evicted_bytes += o.oom_evicted_bytes;
-    oom_unfused += o.oom_unfused;
-    oom_degraded_steps += o.oom_degraded_steps;
-    gpu_wasted += o.gpu_wasted;
-    pcie_retry_time += o.pcie_retry_time;
-    oom_recovery += o.oom_recovery;
-    replica_failures += o.replica_failures;
-    failovers += o.failovers;
-    slow_replicas += o.slow_replicas;
-    backoff_time += o.backoff_time;
-    breaker_opens += o.breaker_opens;
-    breaker_short_circuits += o.breaker_short_circuits;
-    deadline_misses += o.deadline_misses;
-    shards_dropped += o.shards_dropped;
-    degraded_queries += o.degraded_queries;
-    shed_queries += o.shed_queries;
-    return *this;
-  }
-
-  bool any() const {
-    return gpu_faults + pcie_errors + prefetch_faults + oom_faults +
-               replica_failures + failovers + slow_replicas + breaker_opens +
-               breaker_short_circuits + deadline_misses + shards_dropped +
-               degraded_queries + shed_queries !=
-           0;
+  static constexpr auto fields() {
+    using F = FaultCounters;
+    return std::tuple{
+        util::field(&F::gpu_faults, "gpu_faults"),
+        util::field(&F::pcie_errors, "pcie_errors"),
+        util::field(&F::split_leg_faults, "split_leg_faults"),
+        util::field(&F::prefetch_faults, "prefetch_faults"),
+        util::field(&F::oom_faults, "oom_faults"),
+        util::field(&F::oom_evictions, "oom_evictions"),
+        util::field(&F::oom_evicted_bytes, "oom_evicted_bytes"),
+        util::field(&F::oom_unfused, "oom_unfused"),
+        util::field(&F::oom_degraded_steps, "oom_degraded_steps"),
+        util::field(&F::gpu_wasted, "gpu_wasted_us"),
+        util::field(&F::pcie_retry_time, "pcie_retry_us"),
+        util::field(&F::oom_recovery, "oom_recovery_us"),
+        util::field(&F::replica_failures, "replica_failures"),
+        util::field(&F::failovers, "failovers"),
+        util::field(&F::slow_replicas, "slow_replicas"),
+        util::field(&F::backoff_time, "backoff_us"),
+        util::field(&F::breaker_opens, "breaker_opens"),
+        util::field(&F::breaker_short_circuits, "breaker_short_circuits"),
+        util::field(&F::deadline_misses, "deadline_misses"),
+        util::field(&F::shards_dropped, "shards_dropped"),
+        util::field(&F::degraded_queries, "degraded_queries"),
+        util::field(&F::shed_queries, "shed_queries"),
+    };
   }
 };
+static_assert(util::covers<FaultCounters>());
 
 /// Stateless decision oracle over a FaultConfig. Every question is a pure
 /// function of (config, coordinates), so the injector can be shared by any

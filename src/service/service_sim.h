@@ -52,19 +52,14 @@ struct ServiceResult {
   /// idle. The denominator of the utilization fractions.
   sim::Duration horizon;
   std::uint64_t max_queue_depth = 0;
-  /// Engine cache-tier counters summed over the run (only filled by the
-  /// engine-executing overload of run_service; zero otherwise).
-  core::CacheCounters engine_cache;
-  /// Plan-step aggregate (QueryResult::trace) over the run (same caveat).
-  core::TraceSummary trace;
-  /// Copy/compute-overlap counters over the run (same caveat).
-  core::OverlapCounters engine_overlap;
-  /// Fault counters: engine-level faults from the execution pass (engine-
-  /// executing overload only) plus queries shed by admission control.
-  fault::FaultCounters faults;
+  /// Counters summed over the run: every executed query's cache, overlap,
+  /// fault and trace counters (zero in the precomputed-service-times
+  /// overload, which executes nothing), plus queries shed by admission
+  /// control (faults.shed_queries).
+  core::CounterTotals totals;
 
   double mean_response_ms() const { return response_ms.mean(); }
-  std::uint64_t shed_queries() const { return faults.shed_queries; }
+  std::uint64_t shed_queries() const { return totals.faults.shed_queries; }
 };
 
 /// Queueing simulation over precomputed per-query service times (engine
@@ -89,13 +84,9 @@ ServiceResult run_service(tenancy::DeviceManager& device,
                           const ServiceConfig& cfg);
 
 /// One execution pass: the service-time vector for a query set. When
-/// `cache` / `trace` / `overlap` / `faults` are non-null, the engines'
-/// per-query cache-tier counters, plan-step traces, overlap counters, and
-/// fault counters are summed into them.
+/// `totals` is non-null, every executed query's counters are added to it.
 std::vector<sim::Duration> measure_service_times(
     core::Engine& engine, const std::vector<core::Query>& queries,
-    core::CacheCounters* cache = nullptr, core::TraceSummary* trace = nullptr,
-    core::OverlapCounters* overlap = nullptr,
-    fault::FaultCounters* faults = nullptr);
+    core::CounterTotals* totals = nullptr);
 
 }  // namespace griffin::service

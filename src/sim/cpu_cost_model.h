@@ -9,6 +9,7 @@
 
 #include "sim/hardware_spec.h"
 #include "sim/time.h"
+#include "util/counters.h"
 
 namespace griffin::sim {
 
@@ -17,12 +18,23 @@ namespace griffin::sim {
 /// n elements charges exactly ceil(n/lanes) vector iterations; the lanes
 /// those iterations *could* have filled versus the elements they actually
 /// processed is the vector efficiency traces report.
-struct SimdCounters {
+struct SimdCounters : util::Counters<SimdCounters> {
   std::uint64_t loops = 0;         ///< vectorized loops entered
   std::uint64_t vector_ops = 0;    ///< Σ ceil(n/lanes) over loops
   std::uint64_t useful_lanes = 0;  ///< Σ n (elements actually processed)
   std::uint64_t charged_lanes = 0; ///< Σ ceil(n/lanes)*lanes (slots paid for)
   std::uint64_t tail_elems = 0;    ///< Σ n mod lanes (masked-tail elements)
+
+  static constexpr auto fields() {
+    using S = SimdCounters;
+    return std::tuple{
+        util::field(&S::loops, "loops"),
+        util::field(&S::vector_ops, "vector_ops"),
+        util::field(&S::useful_lanes, "useful_lanes"),
+        util::field(&S::charged_lanes, "charged_lanes"),
+        util::field(&S::tail_elems, "tail_elems"),
+    };
+  }
 
   /// Fraction of paid-for lane slots that did useful work (0 when no
   /// vectorized loop ran — scalar mode, GPU-placed steps, transfers).
@@ -31,24 +43,8 @@ struct SimdCounters {
                               : static_cast<double>(useful_lanes) /
                                     static_cast<double>(charged_lanes);
   }
-
-  SimdCounters& operator+=(const SimdCounters& o) {
-    loops += o.loops;
-    vector_ops += o.vector_ops;
-    useful_lanes += o.useful_lanes;
-    charged_lanes += o.charged_lanes;
-    tail_elems += o.tail_elems;
-    return *this;
-  }
-  friend SimdCounters operator-(SimdCounters a, const SimdCounters& b) {
-    a.loops -= b.loops;
-    a.vector_ops -= b.vector_ops;
-    a.useful_lanes -= b.useful_lanes;
-    a.charged_lanes -= b.charged_lanes;
-    a.tail_elems -= b.tail_elems;
-    return a;
-  }
 };
+static_assert(util::covers<SimdCounters>());
 
 class CpuCostAccumulator {
  public:

@@ -96,7 +96,7 @@ void DeviceManager::admit(Lane& lane, const TenantQuery& tq,
 
 void DeviceManager::finish(Lane& lane, std::vector<TenantResult>& results) {
   lane.exec.finish_query(lane.res.metrics);
-  run_faults_ += lane.res.metrics.faults;
+  totals_.add(lane.res);
   const sim::Duration done = lane.release + lane.res.metrics.total;
   TenantResult& out = results[lane.slot];
   out.result = std::move(lane.res);
@@ -154,19 +154,7 @@ void DeviceManager::step(std::vector<TenantResult>& results) {
     // members already ran (or will run) their own step unperturbed, and
     // their ops on the shared timeline are untouched. An OOM that unfused
     // inside run() only shrank *this* lane's launch accounting.
-    switch (st) {
-      case core::StepStatus::kOk:
-        break;
-      case core::StepStatus::kOkForceCpu:
-        lane.planner.force_cpu();
-        break;
-      case core::StepStatus::kFaultQuery:
-        lane.planner.degrade_to_cpu(*lane.next_step);
-        break;
-      case core::StepStatus::kFaultStep:
-        lane.planner.degrade_step_to_cpu(*lane.next_step);
-        break;
-    }
+    lane.planner.recover(*lane.next_step, st);
     lane.next_step = lane.planner.next(lane.exec.intermediate_count(),
                                        lane.exec.location());
     if (!lane.next_step.has_value()) finish(lane, results);
@@ -177,7 +165,7 @@ std::vector<TenantResult> DeviceManager::run(
     std::span<const TenantQuery> load, std::uint32_t max_in_system) {
   tl_.reset();
   finishes_.clear();
-  run_faults_ = fault::FaultCounters{};
+  totals_ = core::CounterTotals{};
   composer_ = BatchComposer(opt_.batch);
   for (auto& lane : lanes_) {
     lane->active = false;
@@ -202,7 +190,7 @@ std::vector<TenantResult> DeviceManager::run(
     if (max_in_system > 0 && in_system_at(load[i].arrival) >= max_in_system) {
       results[i].shed = true;
       ++results[i].result.metrics.faults.shed_queries;
-      ++run_faults_.shed_queries;
+      totals_.add(results[i].result);
       return;
     }
     pending.push_back(i);

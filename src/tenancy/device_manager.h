@@ -103,11 +103,10 @@ class DeviceManager {
   /// Cross-query batches composed by the last run().
   std::uint64_t batch_groups() const { return composer_.groups(); }
 
-  /// Engine-level fault counters aggregated across every query of the last
-  /// run(), shed rejections included — the per-query counters live in each
-  /// TenantResult's metrics; this is the device-wide rollup the service sim
-  /// and the chaos harness read.
-  const fault::FaultCounters& run_faults() const { return run_faults_; }
+  /// Counters summed over every query of the last run(), shed rejections
+  /// included: the device-wide roll-up of the per-query counters in each
+  /// TenantResult, read by the service sim and the chaos harness.
+  const core::CounterTotals& run_totals() const { return totals_; }
 
   const TenancyOptions& options() const { return opt_; }
 
@@ -130,7 +129,7 @@ class DeviceManager {
   fault::FaultInjector injector_;
   sim::Timeline tl_;
   BatchComposer composer_;
-  fault::FaultCounters run_faults_;  ///< rollup of the last run()
+  core::CounterTotals totals_;  ///< roll-up of the last run()
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint32_t active_ = 0;  ///< lanes with an in-flight query
   /// Completion times of finished queries in the current run() — the

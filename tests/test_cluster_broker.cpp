@@ -107,6 +107,35 @@ TEST(ClusterBroker, AbsentTermShardsShortCircuit) {
   expect_identical_topk(got.topk, want.topk, "absent-term");
 }
 
+TEST(ClusterBroker, ExecuteSumsShardLaneCounters) {
+  // The merged result's lane-accounting counters are the field-by-field sum
+  // of the shards' (they used to be dropped by the fold in execute()).
+  const auto& idx = testutil::small_index();
+  sim::HardwareSpec hw;
+  hw.cpu = sim::CpuSpec::modern_avx2();
+  core::HybridOptions opt;
+  opt.scheduler.policy = core::SchedulerPolicy::kAlwaysCpu;
+  cluster::ClusterConfig cfg;
+  cfg.num_shards = 4;
+  cluster::ClusterBroker merged(idx, cfg, hw, opt);
+  cluster::ClusterBroker shards(idx, cfg, hw, opt);
+  std::uint64_t loops = 0;
+  for (const auto& q : equivalence_log(idx, 20, 94)) {
+    const sim::SimdCounters got = merged.execute(q).metrics.simd;
+    sim::SimdCounters want;
+    for (std::uint32_t s = 0; s < shards.num_shards(); ++s) {
+      want += shards.node(s).execute(q).metrics.simd;
+    }
+    EXPECT_EQ(got.loops, want.loops);
+    EXPECT_EQ(got.vector_ops, want.vector_ops);
+    EXPECT_EQ(got.useful_lanes, want.useful_lanes);
+    EXPECT_EQ(got.charged_lanes, want.charged_lanes);
+    EXPECT_EQ(got.tail_elems, want.tail_elems);
+    loops += want.loops;
+  }
+  EXPECT_GT(loops, 0u);
+}
+
 TEST(ClusterBroker, MergeTopkOrdersAndTruncates) {
   const std::vector<std::vector<core::ScoredDoc>> parts = {
       {{10, 5.0f}, {11, 3.0f}},

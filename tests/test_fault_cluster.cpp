@@ -63,13 +63,13 @@ TEST(FaultCluster, FailoverServesFullResultsWhenPrimaryIsDown) {
 
   // Every query failed over shard 0's primary onto its replica: full
   // coverage, zero degradation, and bit-identical answers.
-  EXPECT_EQ(res.faults.replica_failures, log.size());
-  EXPECT_EQ(res.faults.failovers, log.size());
-  EXPECT_EQ(res.faults.degraded_queries, 0u);
-  EXPECT_EQ(res.faults.shards_dropped, 0u);
+  EXPECT_EQ(res.totals.faults.replica_failures, log.size());
+  EXPECT_EQ(res.totals.faults.failovers, log.size());
+  EXPECT_EQ(res.totals.faults.degraded_queries, 0u);
+  EXPECT_EQ(res.totals.faults.shards_dropped, 0u);
   EXPECT_DOUBLE_EQ(res.mean_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(res.min_coverage, 1.0);
-  EXPECT_GT(res.faults.backoff_time.ps(), 0);
+  EXPECT_GT(res.totals.faults.backoff_time.ps(), 0);
   ASSERT_EQ(res.outcomes.size(), ref.outcomes.size());
   for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
     EXPECT_FALSE(res.outcomes[i].degraded);
@@ -90,8 +90,8 @@ TEST(FaultCluster, LosingEveryReplicaDegradesCoverage) {
   const auto res = broker.run(log);
 
   // Shard 0 never answers: every query gathers 3 of 4 shards.
-  EXPECT_EQ(res.faults.degraded_queries, log.size());
-  EXPECT_EQ(res.faults.shards_dropped, log.size());
+  EXPECT_EQ(res.totals.faults.degraded_queries, log.size());
+  EXPECT_EQ(res.totals.faults.shards_dropped, log.size());
   EXPECT_DOUBLE_EQ(res.mean_coverage(), 0.75);
   EXPECT_DOUBLE_EQ(res.min_coverage, 0.75);
   EXPECT_EQ(res.gathered_queries, log.size());
@@ -154,9 +154,9 @@ TEST(FaultCluster, DeadlineDropsTheSlowedShard) {
   cluster::ClusterBroker broker(idx, faulty);
   const auto res = broker.run(log);
 
-  EXPECT_EQ(res.faults.slow_replicas, 1u);
-  EXPECT_EQ(res.faults.deadline_misses, 1u);
-  EXPECT_EQ(res.faults.degraded_queries, 1u);
+  EXPECT_EQ(res.totals.faults.slow_replicas, 1u);
+  EXPECT_EQ(res.totals.faults.deadline_misses, 1u);
+  EXPECT_EQ(res.totals.faults.degraded_queries, 1u);
   EXPECT_DOUBLE_EQ(res.min_coverage, 0.75);
   ASSERT_EQ(res.outcomes.size(), n);
   EXPECT_TRUE(res.outcomes[n - 1].degraded);
@@ -187,13 +187,15 @@ TEST(FaultCluster, BreakerShortCircuitsAPersistentlyDeadPrimary) {
 
   // After three crash detections the breaker opens and later queries skip
   // the dead primary without paying crash_detect + backoff.
-  EXPECT_EQ(with.faults.breaker_opens, 1u);
-  EXPECT_GT(with.faults.breaker_short_circuits, 0u);
-  EXPECT_LT(with.faults.replica_failures, without.faults.replica_failures);
-  EXPECT_LT(with.faults.backoff_time.ps(), without.faults.backoff_time.ps());
+  const fault::FaultCounters& fw = with.totals.faults;
+  const fault::FaultCounters& fo = without.totals.faults;
+  EXPECT_EQ(fw.breaker_opens, 1u);
+  EXPECT_GT(fw.breaker_short_circuits, 0u);
+  EXPECT_LT(fw.replica_failures, fo.replica_failures);
+  EXPECT_LT(fw.backoff_time.ps(), fo.backoff_time.ps());
   EXPECT_LT(with.response_ms.mean(), without.response_ms.mean());
   // Failover still answers everything in full.
-  EXPECT_EQ(with.faults.degraded_queries, 0u);
+  EXPECT_EQ(fw.degraded_queries, 0u);
   EXPECT_DOUBLE_EQ(with.mean_coverage(), 1.0);
 }
 
@@ -233,25 +235,6 @@ TEST(FaultCluster, CircuitBreakerStateMachine) {
   EXPECT_TRUE(off.allow(t(0)));
 }
 
-TEST(FaultCluster, StragglerConfigAliasesTheSlowSite) {
-  const auto& idx = testutil::small_index();
-  const auto log = fault_log(idx, 120, 96);
-
-  auto cfg = base_config();
-  cfg.record_outcomes = false;
-  cfg.straggler.probability = 0.2;
-  cfg.straggler.slowdown = 30.0;
-  cluster::ClusterBroker broker(idx, cfg);
-
-  // The legacy knobs land in the fault config the broker runs with...
-  EXPECT_DOUBLE_EQ(broker.config().faults.slow.probability, 0.2);
-  EXPECT_DOUBLE_EQ(broker.config().faults.slow_factor, 30.0);
-  // ...and the injections are counted by the fault machinery.
-  const auto res = broker.run(log);
-  EXPECT_GT(res.faults.slow_replicas, 0u);
-  EXPECT_EQ(res.faults.degraded_queries, 0u);  // slow, not lost
-}
-
 TEST(FaultCluster, NonDegradedQueriesMatchFaultFreeBitsUnderCrashChurn) {
   const auto& idx = testutil::small_index();
   const auto log = fault_log(idx, 80, 97);
@@ -267,7 +250,7 @@ TEST(FaultCluster, NonDegradedQueriesMatchFaultFreeBitsUnderCrashChurn) {
   cluster::ClusterBroker broker(idx, churn);
   const auto res = broker.run(log);
 
-  EXPECT_GT(res.faults.replica_failures, 0u);
+  EXPECT_GT(res.totals.faults.replica_failures, 0u);
   ASSERT_EQ(res.outcomes.size(), ref.outcomes.size());
   std::size_t full = 0;
   for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
@@ -279,7 +262,7 @@ TEST(FaultCluster, NonDegradedQueriesMatchFaultFreeBitsUnderCrashChurn) {
     expect_same_outcome_topk(res.outcomes[i], ref.outcomes[i]);
   }
   EXPECT_GT(full, 0u);
-  EXPECT_EQ(res.faults.degraded_queries, res.outcomes.size() - full);
+  EXPECT_EQ(res.totals.faults.degraded_queries, res.outcomes.size() - full);
 }
 
 TEST(FaultCluster, EngineFaultsFlowIntoClusterCounters) {
@@ -294,18 +277,11 @@ TEST(FaultCluster, EngineFaultsFlowIntoClusterCounters) {
   cluster::ClusterBroker broker(idx, cfg, {}, opt);
 
   const auto res = broker.run(log);
-  EXPECT_GT(res.faults.gpu_faults, 0u);
-  EXPECT_GT(res.faults.gpu_wasted.ps(), 0);
-  EXPECT_GT(res.trace.faulted_steps, 0u);
+  EXPECT_GT(res.totals.faults.gpu_faults, 0u);
+  EXPECT_GT(res.totals.faults.gpu_wasted.ps(), 0);
+  EXPECT_GT(res.totals.trace.faulted_steps, 0u);
   // A GPU fault degrades execution, never the answer: nothing is dropped.
-  EXPECT_EQ(res.faults.degraded_queries, 0u);
-
-  // The per-node lifetime counters sum to the run's engine-level total.
-  std::uint64_t node_faults = 0;
-  for (std::uint32_t s = 0; s < broker.num_shards(); ++s) {
-    node_faults += broker.node(s).fault_counters().gpu_faults;
-  }
-  EXPECT_EQ(node_faults, res.faults.gpu_faults);
+  EXPECT_EQ(res.totals.faults.degraded_queries, 0u);
 }
 
 TEST(FaultCluster, UntimedExecuteDegradesOnScopedEngineFault) {
@@ -349,14 +325,7 @@ TEST(FaultCluster, FaultRunsAreDeterministic) {
   cluster::ClusterBroker b(idx, cfg);
   const auto ra = a.run(log);
   const auto rb = b.run(log);
-  EXPECT_EQ(ra.faults.replica_failures, rb.faults.replica_failures);
-  EXPECT_EQ(ra.faults.failovers, rb.faults.failovers);
-  EXPECT_EQ(ra.faults.slow_replicas, rb.faults.slow_replicas);
-  EXPECT_EQ(ra.faults.breaker_opens, rb.faults.breaker_opens);
-  EXPECT_EQ(ra.faults.breaker_short_circuits,
-            rb.faults.breaker_short_circuits);
-  EXPECT_EQ(ra.faults.deadline_misses, rb.faults.deadline_misses);
-  EXPECT_EQ(ra.faults.degraded_queries, rb.faults.degraded_queries);
+  EXPECT_TRUE(ra.totals == rb.totals);
   EXPECT_DOUBLE_EQ(ra.coverage_sum, rb.coverage_sum);
   EXPECT_DOUBLE_EQ(ra.response_ms.mean(), rb.response_ms.mean());
   EXPECT_DOUBLE_EQ(ra.response_ms.percentile(99),

@@ -180,7 +180,7 @@ TEST(ServiceSimAdmission, UnboundedQueueShedsNothing) {
   service::ServiceConfig cfg;
   cfg.arrival_qps = 5000.0;  // rho = 5, but max_queue_depth = 0 (unbounded)
   const auto res = service::run_service(engine, n_queries(500), cfg);
-  EXPECT_EQ(res.faults.shed_queries, 0u);
+  EXPECT_EQ(res.shed_queries(), 0u);
   EXPECT_EQ(res.response_ms.count(), 500u);
 }
 
@@ -194,8 +194,8 @@ TEST(ServiceSimAdmission, OverloadShedsInsteadOfQueueingForever) {
   const auto bounded = service::run_service(engine, n_queries(2000), cfg);
 
   // Shedding trades answered queries for a bounded response tail.
-  EXPECT_GT(bounded.faults.shed_queries, 0u);
-  EXPECT_EQ(bounded.response_ms.count() + bounded.faults.shed_queries, 2000u);
+  EXPECT_GT(bounded.shed_queries(), 0u);
+  EXPECT_EQ(bounded.response_ms.count() + bounded.shed_queries(), 2000u);
   EXPECT_LE(bounded.max_queue_depth, 8u);
   EXPECT_LT(bounded.response_ms.percentile(99),
             open.response_ms.percentile(99));
@@ -209,7 +209,7 @@ TEST(ServiceSimAdmission, LightLoadNeverSheds) {
   cfg.arrival_qps = 10.0;
   cfg.max_queue_depth = 2;
   const auto res = service::run_service(engine, n_queries(500), cfg);
-  EXPECT_EQ(res.faults.shed_queries, 0u);
+  EXPECT_EQ(res.shed_queries(), 0u);
   EXPECT_EQ(res.response_ms.count(), 500u);
 }
 
@@ -219,7 +219,7 @@ TEST(ServiceSimAdmission, DepthOneAdmitsOnlyAnIdleServer) {
   cfg.arrival_qps = 2000.0;
   cfg.max_queue_depth = 1;
   const auto res = service::run_service(engine, n_queries(1000), cfg);
-  EXPECT_GT(res.faults.shed_queries, 0u);
+  EXPECT_GT(res.shed_queries(), 0u);
   // Every admitted query starts immediately: response == service exactly.
   EXPECT_DOUBLE_EQ(res.response_ms.mean(), res.service_ms.mean());
   EXPECT_DOUBLE_EQ(res.response_ms.max(), res.service_ms.max());
@@ -233,6 +233,6 @@ TEST(ServiceSimAdmission, SheddingIsDeterministic) {
   cfg.max_queue_depth = 4;
   const auto a = service::run_service(engine, n_queries(800), cfg);
   const auto b = service::run_service(engine, n_queries(800), cfg);
-  EXPECT_EQ(a.faults.shed_queries, b.faults.shed_queries);
+  EXPECT_EQ(a.shed_queries(), b.shed_queries());
   EXPECT_DOUBLE_EQ(a.response_ms.mean(), b.response_ms.mean());
 }

@@ -287,7 +287,7 @@ TEST(TenancyFaults, ArmedButSilentTenancyIsBitIdenticalToDisarmed) {
               rb[i].result.metrics.total.ps()) << "query " << i;
     expect_bit_identical_topk(rb[i].result.topk, ra[i].result.topk, i);
   }
-  EXPECT_FALSE(b.run_faults().any());
+  EXPECT_FALSE(b.run_totals().faults.any());
   EXPECT_EQ(a.batch_groups(), b.batch_groups());
 }
 
@@ -324,10 +324,10 @@ TEST(TenancyFaults, ArmedTenancyKeepsGoldenParityAndIsDeterministic) {
               (m.total + m.overlap.saved).ps()) << "query " << i;
   }
   // The run actually injected something.
-  EXPECT_TRUE(dm.run_faults().any());
-  EXPECT_GT(dm.run_faults().gpu_faults + dm.run_faults().oom_faults, 0u);
-  EXPECT_EQ(dm.run_faults().gpu_faults, twin.run_faults().gpu_faults);
-  EXPECT_EQ(dm.run_faults().oom_faults, twin.run_faults().oom_faults);
+  const fault::FaultCounters& f = dm.run_totals().faults;
+  EXPECT_TRUE(f.any());
+  EXPECT_GT(f.gpu_faults + f.oom_faults, 0u);
+  EXPECT_TRUE(dm.run_totals() == twin.run_totals());
 }
 
 TEST(TenancyFaults, RunFaultsIsTheExactPerQueryRollup) {
@@ -351,19 +351,8 @@ TEST(TenancyFaults, RunFaultsIsTheExactPerQueryRollup) {
     shed += r.shed ? 1 : 0;
   }
   EXPECT_GT(shed, 0u);
-  const auto& roll = dm.run_faults();
-  EXPECT_EQ(roll.gpu_faults, sum.gpu_faults);
-  EXPECT_EQ(roll.pcie_errors, sum.pcie_errors);
-  EXPECT_EQ(roll.split_leg_faults, sum.split_leg_faults);
-  EXPECT_EQ(roll.prefetch_faults, sum.prefetch_faults);
-  EXPECT_EQ(roll.oom_faults, sum.oom_faults);
-  EXPECT_EQ(roll.oom_evictions, sum.oom_evictions);
-  EXPECT_EQ(roll.oom_unfused, sum.oom_unfused);
-  EXPECT_EQ(roll.oom_degraded_steps, sum.oom_degraded_steps);
-  EXPECT_EQ(roll.gpu_wasted.ps(), sum.gpu_wasted.ps());
-  EXPECT_EQ(roll.oom_recovery.ps(), sum.oom_recovery.ps());
-  EXPECT_EQ(roll.shed_queries, sum.shed_queries);
-  EXPECT_EQ(roll.shed_queries, shed);
+  EXPECT_TRUE(dm.run_totals().faults == sum);
+  EXPECT_EQ(sum.shed_queries, shed);
 }
 
 TEST(TenancyFaults, OomInsideAFusedBatchUnfusesOnlyTheHitQuery) {
@@ -409,7 +398,7 @@ TEST(TenancyFaults, OomInsideAFusedBatchUnfusesOnlyTheHitQuery) {
   // and/or re-planned host-side, and the whole ladder cost is on the clock.
   EXPECT_GT(vf.oom_unfused + vf.oom_degraded_steps, 0u);
   EXPECT_GT(vf.oom_recovery.ps(), 0);
-  EXPECT_EQ(dm.run_faults().oom_unfused, vf.oom_unfused);
+  EXPECT_EQ(dm.run_totals().faults.oom_unfused, vf.oom_unfused);
 
   // The batch machinery itself kept running for everyone else.
   EXPECT_GT(dm.batch_groups(), 0u);
@@ -431,7 +420,7 @@ TEST(TenancyService, MultiTenantServiceLoopRunsAndSheds) {
   cfg.arrival_qps = 20000.0;
   const auto open = service::run_service(dm, queries, cfg);
   EXPECT_EQ(open.response_ms.count(), queries.size());
-  EXPECT_EQ(open.faults.shed_queries, 0u);
+  EXPECT_EQ(open.shed_queries(), 0u);
   // Per-resource utilization is populated from the shared timeline; the
   // scalar is the bottleneck's.
   double top = 0.0;
@@ -446,19 +435,19 @@ TEST(TenancyService, MultiTenantServiceLoopRunsAndSheds) {
 
   cfg.max_queue_depth = 5;
   const auto bounded = service::run_service(dm, queries, cfg);
-  EXPECT_EQ(bounded.response_ms.count() + bounded.faults.shed_queries,
+  EXPECT_EQ(bounded.response_ms.count() + bounded.shed_queries(),
             queries.size());
 
   // Determinism: same config, same numbers.
   const auto again = service::run_service(dm, queries, cfg);
-  EXPECT_EQ(again.faults.shed_queries, bounded.faults.shed_queries);
+  EXPECT_EQ(again.shed_queries(), bounded.shed_queries());
   EXPECT_DOUBLE_EQ(again.response_ms.mean(), bounded.response_ms.mean());
 }
 
 TEST(TenancyService, ServiceFaultsAggregateTheArmedDeviceExactly) {
   // End-to-end counter plumbing: engine-level faults injected inside the
-  // multi-tenant device surface in ServiceResult::faults — and the service
-  // view equals the device's own rollup plus nothing.
+  // multi-tenant device surface in ServiceResult::totals — and the service
+  // view equals the device's own roll-up plus nothing.
   const auto& idx = testutil::small_index();
   workload::QueryLogConfig qcfg;
   qcfg.num_queries = 100;
@@ -479,29 +468,18 @@ TEST(TenancyService, ServiceFaultsAggregateTheArmedDeviceExactly) {
   cfg.max_queue_depth = 8;  // shed under pressure, counted alongside
   const auto out = service::run_service(dm, queries, cfg);
 
-  EXPECT_TRUE(out.faults.any());
-  EXPECT_GT(out.faults.gpu_faults + out.faults.oom_faults, 0u);
-  const auto& roll = dm.run_faults();
-  EXPECT_EQ(out.faults.gpu_faults, roll.gpu_faults);
-  EXPECT_EQ(out.faults.pcie_errors, roll.pcie_errors);
-  EXPECT_EQ(out.faults.oom_faults, roll.oom_faults);
-  EXPECT_EQ(out.faults.oom_degraded_steps, roll.oom_degraded_steps);
-  EXPECT_EQ(out.faults.oom_evictions, roll.oom_evictions);
-  EXPECT_EQ(out.faults.shed_queries, roll.shed_queries);
-  EXPECT_EQ(out.faults.gpu_wasted.ps(), roll.gpu_wasted.ps());
-  EXPECT_EQ(out.faults.oom_recovery.ps(), roll.oom_recovery.ps());
+  EXPECT_TRUE(out.totals.faults.any());
+  EXPECT_GT(out.totals.faults.gpu_faults + out.totals.faults.oom_faults, 0u);
+  EXPECT_TRUE(out.totals == dm.run_totals());
 
   // Shed + answered conserves the offered load.
-  EXPECT_EQ(out.response_ms.count() + out.faults.shed_queries,
-            queries.size());
+  EXPECT_EQ(out.response_ms.count() + out.shed_queries(), queries.size());
 
   // And the armed service loop is deterministic end to end: a second device
   // built from the same options replays the identical run. (Re-running the
   // *same* device differs legitimately — its lane caches stay warm.)
   tenancy::DeviceManager dm2(idx, {}, opt);
   const auto out2 = service::run_service(dm2, queries, cfg);
-  EXPECT_EQ(out2.faults.gpu_faults, out.faults.gpu_faults);
-  EXPECT_EQ(out2.faults.oom_faults, out.faults.oom_faults);
-  EXPECT_EQ(out2.faults.shed_queries, out.faults.shed_queries);
+  EXPECT_TRUE(out2.totals == out.totals);
   EXPECT_DOUBLE_EQ(out2.response_ms.mean(), out.response_ms.mean());
 }
