@@ -118,7 +118,7 @@ class Json {
   Json(double d) : v_(d) {}                          // NOLINT(runtime/explicit)
   Json(int i) : v_(static_cast<double>(i)) {}        // NOLINT(runtime/explicit)
   Json(unsigned u) : v_(static_cast<double>(u)) {}   // NOLINT(runtime/explicit)
-  Json(std::uint64_t u) : v_(static_cast<double>(u)) {}  // NOLINT
+  Json(std::uint64_t u) : v_(u) {}                   // NOLINT(runtime/explicit)
   Json(const char* s) : v_(std::string(s)) {}        // NOLINT(runtime/explicit)
   Json(std::string s) : v_(std::move(s)) {}          // NOLINT(runtime/explicit)
 
@@ -194,6 +194,8 @@ class Json {
         std::snprintf(buf, sizeof(buf), "%.12g", *d);
         out += buf;
       }
+    } else if (const std::uint64_t* u = std::get_if<std::uint64_t>(&v_)) {
+      out += std::to_string(*u);  // all 64 bits, e.g. top-k digests
     } else if (const std::string* s = std::get_if<std::string>(&v_)) {
       write_escaped(out, *s);
     } else {
@@ -221,7 +223,8 @@ class Json {
     }
   }
 
-  std::variant<std::nullptr_t, bool, double, std::string, Elements, Members>
+  std::variant<std::nullptr_t, bool, double, std::uint64_t, std::string,
+               Elements, Members>
       v_;
 };
 

@@ -1,5 +1,5 @@
 // google-benchmark wall-clock microbenchmarks of the SIMT simulator itself:
-// the host cost of region analysis (Block::finish_region) on the kernels'
+// the host cost of region accounting (simt::WarpTally) on the kernels'
 // access patterns, and of the memoized fragments (simt/memo.h) cold vs
 // replayed. The simulated numbers these kernels produce do not
 // change between runs; this bench tracks how much host time it takes to
@@ -27,8 +27,8 @@ constexpr std::uint32_t kRegions = 16;
 
 /// One launch of one block running kRegions regions of `body(Thread&, k)`
 /// for k < kAccessesPerLane. Repeating the region inside one launch
-/// amortizes the launch's lane set-up, so the time is region execution and
-/// analysis (Block::finish_region).
+/// amortizes the launch's set-up, so the time is region execution and
+/// accounting (simt::WarpTally).
 template <typename Body>
 void region_bench(benchmark::State& state, Body&& body) {
   simt::Device dev;
@@ -77,6 +77,33 @@ void BM_RegionBankConflicts(benchmark::State& state) {
   region_bench(state, [](simt::Thread& t, auto&, auto& sh, std::uint32_t k) {
     t.sstore(sh, t.lane() * 32 + k, k);
   });
+}
+
+void BM_RegionSerialLane(benchmark::State& state) {
+  // The serial VarByte/Simple16 decode's shape (gpu/decode.cpp): lane 0
+  // walks the block alone, 256 global loads and 128 shared stores, while
+  // the other 127 lanes idle.
+  constexpr std::uint32_t kLanes = 128;
+  constexpr std::uint32_t kLoads = 256;
+  simt::Device dev;
+  auto buf = dev.alloc<std::uint64_t>(kLoads);
+  for (auto _ : state) {
+    const sim::KernelStats s =
+        simt::launch(dev, {1, kLanes}, [&](simt::Block& blk) {
+          auto sh = blk.shared<std::uint32_t>(kLoads / 2);
+          for (std::uint32_t r = 0; r < kRegions; ++r) {
+            blk.for_each_thread([&](simt::Thread& t) {
+              if (t.tid() != 0) return;
+              for (std::uint32_t i = 0; i < kLoads; ++i) {
+                const auto w = static_cast<std::uint32_t>(t.load(buf, i));
+                if (i % 2 == 1) t.sstore(sh, i / 2, w);
+              }
+            });
+          }
+        });
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetItemsProcessed(state.iterations() * kRegions * (kLoads * 3 / 2));
 }
 
 simt::DeviceBuffer<codec::DocId> ef_setup(simt::Device& dev,
@@ -156,6 +183,7 @@ BENCHMARK(BM_RegionCoalesced);
 BENCHMARK(BM_RegionStrided);
 BENCHMARK(BM_RegionAtomicContended);
 BENCHMARK(BM_RegionBankConflicts);
+BENCHMARK(BM_RegionSerialLane);
 BENCHMARK(BM_EFBlockDecodeCold);
 BENCHMARK(BM_EFBlockDecodeMemoHit);
 BENCHMARK(BM_BlockScanCold);

@@ -158,15 +158,20 @@ class HedgeController {
 
   /// Feeds one observed shard response time (queueing + service, as seen by
   /// the broker). Past the window bound, the oldest observation is
-  /// overwritten (ring buffer).
+  /// overwritten (ring buffer). The sorted mirror moves at most `window`
+  /// values here, so delay() is a lookup.
   void record(sim::Duration shard_response) {
     const double ms = shard_response.ms();
     if (samples_.size() < cfg_.window) {
       samples_.push_back(ms);
     } else {
+      // Any copy of an equal value is the same to the percentile.
+      sorted_.erase(
+          std::lower_bound(sorted_.begin(), sorted_.end(), samples_[next_]));
       samples_[next_] = ms;
       next_ = (next_ + 1) % cfg_.window;
     }
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), ms), ms);
     ++total_;
   }
 
@@ -178,19 +183,17 @@ class HedgeController {
   /// Nearest-rank percentile over the current window — the same rule
   /// util::PercentileTracker uses, restricted to the resident samples.
   double percentile(double p) const {
-    scratch_ = samples_;
-    std::sort(scratch_.begin(), scratch_.end());
-    const auto n = static_cast<double>(scratch_.size());
+    const auto n = static_cast<double>(sorted_.size());
     auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-    rank = std::clamp<std::size_t>(rank, 1, scratch_.size());
-    return scratch_[rank - 1];
+    rank = std::clamp<std::size_t>(rank, 1, sorted_.size());
+    return sorted_[rank - 1];
   }
 
   HedgeConfig cfg_;
   std::vector<double> samples_;  ///< ring buffer once full
   std::size_t next_ = 0;         ///< overwrite cursor
   std::size_t total_ = 0;        ///< lifetime observation count
-  mutable std::vector<double> scratch_;
+  std::vector<double> sorted_;   ///< samples_, ascending
 };
 
 struct HedgeStats {

@@ -13,9 +13,12 @@
 //     would (lane k's o-th access coalesces with lane j's o-th access);
 //   - shared-memory accesses with bank-conflict serialization (32 banks of
 //     4 bytes).
-// A warp's time for a region is the maximum over its lanes (SIMT lockstep),
-// so divergent code pays the cost the paper describes in §2.3. The counts
-// feed sim::GpuCostModel, which turns them into simulated time.
+// Lanes run in order, so a warp's lanes are consecutive: each access is
+// folded at once into its warp's tally for that ordinal (WarpTally), which
+// resets when the warp's last lane returns. A warp's time for a region is
+// the maximum over its lanes (SIMT lockstep), so divergent code pays the
+// cost the paper describes in §2.3. The counts feed sim::GpuCostModel,
+// which turns them into simulated time.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +47,130 @@ inline constexpr double kAluCycle = 1.0;
 inline constexpr double kGlobalAccessCycles = 4.0;
 inline constexpr double kSharedAccessCycles = 2.0;
 
-class Block;
+/// The (ordinal, segment) pairs one warp has touched in a region: open
+/// addressing with an epoch per slot, so forgetting them between warps is
+/// O(1) however many there were.
+class SegmentSet {
+ public:
+  /// Adds the pair; false when it was already present.
+  bool insert(std::uint32_t ordinal, std::uint64_t segment);
+  void clear();
+
+ private:
+  struct Slot {
+    std::uint64_t segment = 0;
+    std::uint32_t ordinal = 0;
+    std::uint32_t epoch = 0;  ///< live only when equal to epoch_
+  };
+
+  std::size_t home(std::uint32_t ordinal, std::uint64_t segment) const;
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::uint32_t epoch_ = 1;
+  std::size_t size_ = 0;
+  int shift_ = 64;  ///< 64 - log2(slots_.size())
+};
+
+/// Streaming access accounting for one block. A lane reports each access
+/// with its ordinal (the lane's o-th global, shared or atomic access of the
+/// region), and the access is folded at once into the current warp's state
+/// for that ordinal:
+///   - global: the distinct transaction segments, at most 64 counted; one
+///     transaction the first time a segment is seen;
+///   - shared: a 32-bank histogram; one conflict cycle each time the most
+///     contended bank's multiplicity rises above 1 (so max_mult - 1 in all);
+///   - atomic: an address multiset; its highest multiplicity sets the
+///     ordinal's replay count.
+/// end_warp() queues the warp's atomic replays and forgets its ordinals;
+/// end_region() charges the block-max ALU rule, then the queued replays in
+/// (warp, ordinal) order, then the region's counts.
+class WarpTally {
+ public:
+  WarpTally(sim::KernelStats& stats, std::uint64_t transaction_bytes);
+
+  void global(std::uint32_t o, std::uint64_t addr, std::uint32_t bytes) {
+    bytes_ += bytes;
+    std::uint64_t s = addr >> seg_shift_;
+    const std::uint64_t last = (addr + bytes - 1) >> seg_shift_;
+    assert(o <= global_used_);
+    if (o == global_used_) {
+      // The warp's first access of ordinal o: its first segment is new.
+      if (o == global_.size()) global_.emplace_back();
+      global_[o] = {.last = s, .nsegs = 1};
+      ++global_used_;
+      ++transactions_;
+      ++s;
+    }
+    GlobalOrdinal& g = global_[o];
+    for (; s <= last; ++s) {
+      // Neighbouring lanes mostly land in the segment seen last.
+      if (s != g.last) add_segment(o, g, s);
+    }
+  }
+
+  void shared(std::uint32_t o, std::uint32_t bank) {
+    ++shared_accesses_;
+    assert(o <= shared_used_);
+    if (o == shared_used_) {
+      if (o == shared_.size()) shared_.emplace_back();
+      shared_[o] = SharedOrdinal{};
+      ++shared_used_;
+    }
+    SharedOrdinal& h = shared_[o];
+    const std::uint8_t m = ++h.bank[bank];
+    if (m > h.max) {
+      h.max = m;
+      ++conflicts_;
+    }
+  }
+
+  void atomic(std::uint32_t o, std::uint64_t addr);
+
+  void end_warp();
+  /// Charges `max_alu`, the block's slowest lane, to each of its `nwarps`
+  /// warps, then the region's queued atomic replays and counts.
+  void end_region(double max_alu, std::uint32_t nwarps);
+
+ private:
+  static constexpr std::uint32_t kMaxSegments = 64;
+
+  struct GlobalOrdinal {
+    std::uint64_t last;   ///< segment seen last
+    std::uint32_t nsegs;  ///< distinct segments, capped at kMaxSegments
+  };
+  struct SharedOrdinal {
+    std::uint8_t bank[32] = {};  ///< lanes per bank (at most 32)
+    std::uint8_t max = 1;        ///< highest multiplicity, at least 1
+  };
+  struct AtomicOrdinal {
+    std::uint32_t n;    ///< distinct addresses
+    std::uint32_t max;  ///< highest multiplicity
+    std::uint64_t addr[32];
+    std::uint32_t count[32];
+  };
+
+  void add_segment(std::uint32_t o, GlobalOrdinal& g, std::uint64_t s);
+
+  sim::KernelStats& stats_;
+  int seg_shift_;
+  // The region's counts, added to stats_ by end_region. All are whole
+  // numbers, so adding conflicts_ once equals adding it cycle by cycle.
+  std::uint64_t bytes_ = 0;
+  std::uint64_t transactions_ = 0;
+  std::uint64_t shared_accesses_ = 0;
+  std::uint64_t conflicts_ = 0;
+  // Ordinals open in the current warp. A lane's ordinals run 0, 1, 2, ...,
+  // so the ordinal an access carries is open already or the next to open.
+  std::uint32_t global_used_ = 0;
+  std::uint32_t shared_used_ = 0;
+  std::uint32_t atomic_used_ = 0;
+  std::vector<GlobalOrdinal> global_;
+  std::vector<SharedOrdinal> shared_;
+  std::vector<AtomicOrdinal> atomic_;
+  SegmentSet seen_;              ///< segments of ordinals with two or more
+  std::vector<double> replays_;  ///< atomic replay cycles, (warp, ordinal)
+};
 
 /// Per-lane execution context, valid only inside a for_each_thread region.
 class Thread {
@@ -106,9 +232,7 @@ class Thread {
   template <typename T>
   T atomic_add(DeviceBuffer<T>& buf, std::uint64_t idx, T value) {
     assert(idx < buf.size());
-    record_global(buf.device_addr(idx), sizeof(T));
-    atomic_addrs_.push_back(buf.device_addr(idx));
-    charge(2 * kAluCycle);
+    record_atomic(buf.device_addr(idx), sizeof(T));
     const T old = buf.raw()[idx];
     buf.raw()[idx] = old + value;
     return old;
@@ -118,9 +242,7 @@ class Thread {
   template <typename T>
   T atomic_max(DeviceBuffer<T>& buf, std::uint64_t idx, T value) {
     assert(idx < buf.size());
-    record_global(buf.device_addr(idx), sizeof(T));
-    atomic_addrs_.push_back(buf.device_addr(idx));
-    charge(2 * kAluCycle);
+    record_atomic(buf.device_addr(idx), sizeof(T));
     const T old = buf.raw()[idx];
     buf.raw()[idx] = std::max(old, value);
     return old;
@@ -129,14 +251,14 @@ class Thread {
  private:
   friend class Block;
 
-  struct GlobalAccess {
-    std::uint64_t addr;
-    std::uint32_t bytes;
-  };
-
   void record_global(std::uint64_t addr, std::uint32_t bytes) {
     alu_ += kGlobalAccessCycles;
-    global_.push_back({addr, bytes});
+    tally_->global(global_next_++, addr, bytes);
+  }
+  void record_atomic(std::uint64_t addr, std::uint32_t bytes) {
+    record_global(addr, bytes);
+    tally_->atomic(atomic_next_++, addr);
+    charge(2 * kAluCycle);
   }
   void record_shared(const void* p) {
     // Bank = (word offset inside the block's shared arena) mod 32, 4-byte
@@ -144,8 +266,8 @@ class Thread {
     const auto addr = reinterpret_cast<std::uintptr_t>(p);
     assert(addr >= arena_base_ && addr + 4 <= arena_base_ + arena_bytes_);
     alu_ += kSharedAccessCycles;
-    shared_banks_.push_back(
-        static_cast<std::uint32_t>(((addr - arena_base_) / 4) % 32));
+    tally_->shared(shared_next_++,
+                   static_cast<std::uint32_t>(((addr - arena_base_) / 4) % 32));
   }
 
   void reset(std::uint32_t tid, std::uint32_t block_id, std::uint32_t dim) {
@@ -153,25 +275,26 @@ class Thread {
     block_id_ = block_id;
     block_dim_ = dim;
     alu_ = 0.0;
-    global_.clear();
-    shared_banks_.clear();
-    atomic_addrs_.clear();
+    global_next_ = 0;
+    shared_next_ = 0;
+    atomic_next_ = 0;
   }
 
+  WarpTally* tally_ = nullptr;
   std::uint32_t tid_ = 0;
   std::uint32_t block_id_ = 0;
   std::uint32_t block_dim_ = 0;
   std::uintptr_t arena_base_ = 0;  ///< the block's shared arena
   std::size_t arena_bytes_ = 0;
   double alu_ = 0.0;
-  std::vector<GlobalAccess> global_;
-  std::vector<std::uint32_t> shared_banks_;
-  std::vector<std::uint64_t> atomic_addrs_;
+  std::uint32_t global_next_ = 0;  ///< ordinal of this lane's next access
+  std::uint32_t shared_next_ = 0;
+  std::uint32_t atomic_next_ = 0;
 };
 
 /// Per-block execution context handed to the kernel body. One Block object
-/// is reused across a launch's blocks (reset per block) so lane scratch
-/// buffers keep their capacity — a pure simulator-speed concern.
+/// is reused across a launch's blocks (reset per block), and one Thread
+/// across a region's lanes, which run one after another.
 class Block {
  public:
   Block(Device& dev, sim::KernelStats& stats, std::uint32_t block_id,
@@ -183,16 +306,17 @@ class Block {
         block_dim_(block_dim),
         grid_dim_(grid_dim),
         shared_arena_(spec_.shared_mem_per_block),
-        lanes_(block_dim),
-        warp_max_(warps()) {
+        tally_(stats, spec_.mem_transaction_bytes) {
     assert(block_dim_ > 0);
     assert(block_dim_ <=
            static_cast<std::uint32_t>(spec_.max_threads_per_block));
-    for (Thread& t : lanes_) {
-      t.arena_base_ = reinterpret_cast<std::uintptr_t>(shared_arena_.data());
-      t.arena_bytes_ = shared_arena_.size();
-    }
+    thread_.tally_ = &tally_;
+    thread_.arena_base_ =
+        reinterpret_cast<std::uintptr_t>(shared_arena_.data());
+    thread_.arena_bytes_ = shared_arena_.size();
   }
+  Block(const Block&) = delete;
+  Block& operator=(const Block&) = delete;
 
   /// Rewinds per-block state for the next block of the same launch.
   void reset_for_block(std::uint32_t block_id) {
@@ -257,15 +381,21 @@ class Block {
   }
 
   /// Execute one region: `f(Thread&)` for every thread of the block, then an
-  /// implicit barrier. Work counters are folded into the launch stats with
-  /// the per-warp max rule.
+  /// implicit barrier. Each access is tallied as its lane issues it; the
+  /// region end charges the per-warp max rule (WarpTally).
   template <typename F>
   void for_each_thread(F&& f) {
-    for (std::uint32_t t = 0; t < block_dim_; ++t) {
-      lanes_[t].reset(t, block_id_, block_dim_);
-      f(lanes_[t]);
+    double max_alu = 0.0;
+    for (std::uint32_t lo = 0; lo < block_dim_; lo += 32) {
+      const std::uint32_t hi = std::min(block_dim_, lo + 32);
+      for (std::uint32_t t = lo; t < hi; ++t) {
+        thread_.reset(t, block_id_, block_dim_);
+        f(thread_);
+        max_alu = std::max(max_alu, thread_.alu_);
+      }
+      tally_.end_warp();
     }
-    finish_region();
+    tally_.end_region(max_alu, warps());
     barrier();
   }
 
@@ -273,15 +403,6 @@ class Block {
   void barrier() { ++stats_.barriers; }
 
  private:
-  void finish_region();
-
-  /// Longest per-lane access log of one warp in the current region.
-  struct WarpMax {
-    std::size_t global = 0;
-    std::size_t shared = 0;
-    std::size_t atomics = 0;
-  };
-
   Device& dev_;
   const sim::GpuSpec& spec_;
   sim::KernelStats& stats_;
@@ -290,8 +411,8 @@ class Block {
   std::uint32_t grid_dim_;
   std::size_t shared_used_ = 0;
   std::vector<std::byte> shared_arena_;
-  std::vector<Thread> lanes_;
-  std::vector<WarpMax> warp_max_;
+  WarpTally tally_;
+  Thread thread_;
 };
 
 /// Launch a kernel: `body(Block&)` once per block. Returns the counted work;

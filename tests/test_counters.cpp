@@ -159,6 +159,19 @@ TEST(CounterSchema, JsonKeepsTheBenchKeysAndOrder) {
       << t;
 }
 
+TEST(BenchJson, UnsignedIntegersPrintExactly) {
+  // 64-bit values (top-k digests) keep every digit; below 10^12 the text is
+  // what the double path printed, so existing BENCH files do not move.
+  const std::uint64_t digest = 2543116079170000123ull;
+  EXPECT_EQ(bench::Json(digest).dump_line(), "2543116079170000123");
+  EXPECT_EQ(bench::Json(~std::uint64_t{0}).dump_line(),
+            "18446744073709551615");
+  EXPECT_EQ(bench::Json(std::uint64_t{999'999'999'999}).dump_line(),
+            bench::Json(999'999'999'999.0).dump_line());
+  EXPECT_EQ(bench::Json(std::uint64_t{0}).dump_line(), "0");
+  EXPECT_EQ(bench::Json(2.5).dump_line(), "2.5");
+}
+
 // ---- Conservation: each layer's roll-up == the sum of what it executed ----
 
 namespace {

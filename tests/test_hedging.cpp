@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "cluster/broker.h"
 #include "engine_test_util.h"
 
@@ -82,6 +86,46 @@ TEST(HedgeController, PercentileMatchesNearestRank) {
   for (int v : {10, 20, 30, 40}) ctl.record(sim::Duration::from_ms(v));
   // Nearest-rank p50 of {10,20,30,40}: rank ceil(0.5*4)=2 -> 20.
   EXPECT_DOUBLE_EQ(ctl.delay()->ms(), 20.0);
+}
+
+TEST(HedgeController, SortedMirrorMatchesSortingTheWindow) {
+  // Random record/delay sequences, long enough to wrap the ring buffer many
+  // times, with repeated values: delay() must equal the nearest-rank
+  // percentile of a freshly sorted copy of the newest `window` samples.
+  util::Xoshiro256 rng(5);
+  for (const std::uint32_t window : {1u, 2u, 7u, 64u, 512u}) {
+    for (const double p : {1.0, 50.0, 95.0, 99.9, 100.0}) {
+      cluster::HedgeConfig cfg;
+      cfg.enabled = true;
+      cfg.min_samples = 3;
+      cfg.window = window;
+      cfg.percentile = p;
+      cluster::HedgeController ctl(cfg);
+      std::vector<double> recent;  // the window, oldest first
+      for (int i = 0; i < 3000; ++i) {
+        const auto d = sim::Duration::from_us(
+            rng.bounded(4) == 0 ? 500 : static_cast<double>(rng.bounded(50)));
+        ctl.record(d);
+        recent.push_back(d.ms());
+        if (recent.size() > window) recent.erase(recent.begin());
+        if (rng.bounded(3) != 0) continue;
+        const auto got = ctl.delay();
+        if (i + 1 < 3) {
+          EXPECT_FALSE(got.has_value());
+          continue;
+        }
+        std::vector<double> sorted = recent;
+        std::sort(sorted.begin(), sorted.end());
+        const auto n = static_cast<double>(sorted.size());
+        const auto rank = std::clamp<std::size_t>(
+            static_cast<std::size_t>(std::ceil(p / 100.0 * n)), 1,
+            sorted.size());
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, sim::Duration::from_ms(sorted[rank - 1]))
+            << "window " << window << " p" << p << " step " << i;
+      }
+    }
+  }
 }
 
 TEST(Hedging, SingleReplicaTopologyNeverHedges) {
