@@ -18,7 +18,6 @@
 
 #include "bench_common.h"
 #include "core/hybrid_engine.h"
-#include "cpu/engine.h"
 #include "util/stats.h"
 
 using namespace griffin;

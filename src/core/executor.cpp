@@ -36,12 +36,12 @@ void StepExecutor::begin_query(const Query& q) {
   step_index_ = 0;
   batch_group_ = 0;
   leg_faulted_ = false;
-  if (gpu_ != nullptr) gpu_->begin_query(tl_, q.id, release_);
+  gpu_->begin_query(tl_, q.id, release_);
 }
 
 void StepExecutor::finish_query(QueryMetrics& m) {
   tl_->set_scope(scope_);
-  if (gpu_ != nullptr) gpu_->finish_query(m);  // drops prefetches, buffers
+  gpu_->finish_query(m);  // drops prefetches, buffers
   // The serial charges and the scope's timeline ops are the same set of
   // durations: any divergence means a charge bypassed the timeline.
   const auto& sc = tl_->scope_stats(scope_);
@@ -65,7 +65,7 @@ void StepExecutor::finish_query(QueryMetrics& m) {
 
 void StepExecutor::set_batch(std::uint32_t size, std::uint64_t group) {
   batch_group_ = size > 1 ? group : 0;
-  if (gpu_ != nullptr) gpu_->set_batch(size);
+  gpu_->set_batch(size);
 }
 
 std::uint64_t StepExecutor::intermediate_count() const {
@@ -78,11 +78,9 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
   QueryMetrics& m = res.metrics;
   if (const auto* d = std::get_if<DecodeStep>(&step)) {
     if (d->where == Placement::kGpu) {
-      assert(gpu_ != nullptr);
       gpu_->load_single(d->term, m);
       loc_ = Placement::kGpu;
     } else {
-      assert(svs_ != nullptr);
       svs_->decode_single(d->term, host_current_, m);
       loc_ = Placement::kCpu;
     }
@@ -92,7 +90,6 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
     if (i->where == Placement::kSplit) {
       run_split(*i, res);
     } else if (i->where == Placement::kGpu) {
-      assert(gpu_ != nullptr);
       if (i->first_pair) {
         gpu_->intersect_first(i->probe_term, i->term, m);
       } else {
@@ -100,7 +97,6 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
       }
       loc_ = Placement::kGpu;
     } else {
-      assert(svs_ != nullptr);
       if (i->first_pair) {
         svs_->first_pair(i->probe_term, i->term, host_current_, m);
       } else {
@@ -111,7 +107,6 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
     return;
   }
   if (const auto* t = std::get_if<TransferStep>(&step)) {
-    assert(gpu_ != nullptr);
     if (t->direction == TransferDirection::kHostToDevice) {
       gpu_->upload_intermediate(host_current_, m);
       loc_ = Placement::kGpu;
@@ -123,7 +118,6 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
     return;
   }
   if (const auto* p = std::get_if<PrefetchStep>(&step)) {
-    assert(gpu_ != nullptr);
     gpu_->prefetch(p->term, m);  // intermediate and location unchanged
     return;
   }
@@ -134,7 +128,6 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
     // work-ahead honest — but waiting on nothing and never advancing the
     // plan frontier: no step *depends* on it, a consumer simply finds the
     // list in the decoded cache.
-    assert(svs_ != nullptr);
     const sim::Duration c0 = m.total;
     svs_->decode_ahead(h->term, m);
     tl_->record(cpu_stream_, sim::Resource::kCpu, m.total - c0,
@@ -169,7 +162,6 @@ sim::Timeline::Event StepExecutor::run_cpu_leg(
 
 void StepExecutor::run_split(const IntersectStep& i, QueryResult& res) {
   QueryMetrics& m = res.metrics;
-  assert(svs_ != nullptr && gpu_ != nullptr);
   const sim::Timeline::Event entry = frontier_;
 
   std::vector<codec::DocId> cpu_out;
@@ -430,7 +422,7 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
   // the normal migration path.
   enum class OomRung : std::uint8_t { kNone, kEvict, kUnfuse };
   OomRung rung = OomRung::kNone;
-  if (injector_ != nullptr && svs_ != nullptr) {
+  if (injector_ != nullptr) {
     // An ECC-style device fault on a kGpu compute step abandons the query's
     // device residency wholesale.
     if (gpu_compute &&

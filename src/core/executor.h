@@ -1,9 +1,9 @@
 // The shared step executor (DESIGN.md §8): runs one physical plan step at a
 // time, dispatching CPU steps to cpu::SvsStepper, GPU steps to
 // gpu::GpuExecutor, and transfer steps to the PCIe link the GpuExecutor
-// owns. Either backend may be absent (the CPU-only engine has no
-// GpuExecutor, the GPU-only engine no SvsStepper) — the degenerate
-// scheduler policies guarantee the corresponding steps are never planned.
+// owns. Both backends are always present (core::Backends builds them); the
+// CPU-only and GPU-only engines differ only in a scheduler policy that
+// never places a step on the other one.
 //
 // Every run() appends a StepRecord to QueryResult::trace by snapshotting
 // the QueryMetrics stage totals around the dispatch, so per-step durations
@@ -27,13 +27,11 @@ namespace griffin::core {
 
 class StepExecutor : public ResidencyProbe {
  public:
-  /// `svs` and/or `gpu` may be nullptr when the scheduler policy can never
-  /// place a step on that backend. `scorer` and the rank spec are always
-  /// required (ranking is unconditionally CPU-side). A non-null `injector`
-  /// arms fault injection (DESIGN.md §11): GPU compute steps may be
-  /// abandoned (degrading the plan to the CPU — requires a non-null `svs`)
-  /// and the GpuExecutor's DMAs draw PCIe error coordinates. `fault_scope`
-  /// is the shard id in a cluster, 0 standalone.
+  /// Both backends are required; ranking runs on the host under
+  /// `rank_spec`. A non-null `injector` arms fault injection (DESIGN.md
+  /// §11): GPU compute steps may be abandoned (degrading the plan to the
+  /// CPU) and the GpuExecutor's DMAs draw PCIe error coordinates.
+  /// `fault_scope` is the shard id in a cluster, 0 standalone.
   StepExecutor(sim::CpuSpec rank_spec, cpu::SvsStepper* svs,
                gpu::GpuExecutor* gpu, const cpu::Bm25Scorer& scorer,
                const fault::FaultInjector* injector = nullptr,
@@ -44,7 +42,7 @@ class StepExecutor : public ResidencyProbe {
         scorer_(&scorer),
         injector_(injector),
         fault_scope_(fault_scope) {
-    if (gpu_ != nullptr) gpu_->set_fault_injector(injector, fault_scope);
+    gpu_->set_fault_injector(injector, fault_scope);
   }
 
   /// Binds this executor to a shared multi-tenant timeline (DESIGN.md §12).
@@ -85,13 +83,13 @@ class StepExecutor : public ResidencyProbe {
 
   // ResidencyProbe: stat-free cache probes for the planner's StepShapes.
   bool device_resident(index::TermId t) const override {
-    return gpu_ != nullptr && gpu_->device_resident(t);
+    return gpu_->device_resident(t);
   }
   bool host_decoded(index::TermId t) const override {
-    return svs_ != nullptr && svs_->host_decoded(t);
+    return svs_->host_decoded(t);
   }
   bool prefetched(index::TermId t) const override {
-    return gpu_ != nullptr && gpu_->prefetched(t);
+    return gpu_->prefetched(t);
   }
 
   const sim::Timeline& timeline() const { return *tl_; }
@@ -170,7 +168,7 @@ class StepExecutor : public ResidencyProbe {
 };
 
 /// The shared driver loop: plans and executes one query start to finish.
-/// All three engines' execute() methods are exactly this call.
+/// HybridEngine::execute is exactly this call.
 QueryResult run_plan(Planner& planner, StepExecutor& exec, const Query& q);
 
 }  // namespace griffin::core

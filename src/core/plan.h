@@ -1,8 +1,8 @@
 // The physical-plan layer (DESIGN.md §8). A query is executed as a sequence
 // of typed steps — decode, intersect, transfer, rank — emitted one at a time
 // by the Planner (core/planner.h) and run by the StepExecutor
-// (core/executor.h). The CPU-only, GPU-only and hybrid engines are the same
-// planner/executor pair under different scheduler policies (kAlwaysCpu /
+// (core/executor.h). The CPU-only, GPU-only and hybrid modes are one engine,
+// core::HybridEngine, under different scheduler policies (kAlwaysCpu /
 // kAlwaysGpu / the paper's intra-query rule), so scheduling experiments,
 // cache tiers and metrics are wired up exactly once.
 //

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "fault/fault.h"
@@ -398,7 +397,6 @@ class Engine {
  public:
   virtual ~Engine() = default;
   virtual QueryResult execute(const Query& q) = 0;
-  virtual std::string name() const = 0;
 };
 
 }  // namespace griffin::core

@@ -1,19 +1,13 @@
-// The CPU-only query engine: the "highly optimized CPU implementation" the
-// paper benchmarks Griffin against. SvS intersection order (shortest lists
-// first, per Culpepper & Moffat [11]), with a per-pair choice between the
-// sequential merge and the skip-pointer binary search based on the length
-// ratio, then BM25 + partial_sort ranking.
-//
-// execute() (core/engine_drivers.cpp) is the shared planner/executor driver
-// under the degenerate kAlwaysCpu policy — this engine has no step loop of
-// its own (DESIGN.md §8).
+// Options of the CPU backend (cpu::SvsStepper over cpu::DecodedCache, and
+// the CPU-side BM25 scorer). core::HybridOptions carries them, and
+// cpu::CpuEngine — the CPU-only baseline, core::HybridEngine under the
+// kAlwaysCpu policy (core/hybrid_engine.h) — takes them directly.
 #pragma once
 
-#include "core/query.h"
+#include <cstddef>
+
 #include "cpu/bm25.h"
-#include "cpu/decoded_cache.h"
 #include "cpu/svs_step.h"
-#include "sim/hardware_spec.h"
 
 namespace griffin::cpu {
 
@@ -27,33 +21,6 @@ struct CpuEngineOptions {
   /// (cpu/decoded_cache.h); 0 disables it.
   std::size_t decoded_cache_bytes = std::size_t{1} << 30;
   Bm25Params bm25;
-};
-
-class CpuEngine : public core::Engine {
- public:
-  CpuEngine(const index::InvertedIndex& idx, sim::CpuSpec spec = {},
-            CpuEngineOptions opt = {})
-      : idx_(&idx),
-        spec_(spec),
-        opt_(opt),
-        cache_(opt.decoded_cache_bytes),
-        stepper_(idx, spec, SvsOptions{opt.skip_ratio, opt.ef_random_access},
-                 &cache_),
-        scorer_(idx, opt.bm25) {}
-
-  core::QueryResult execute(const core::Query& q) override;
-  std::string name() const override { return "cpu"; }
-
-  const sim::CpuSpec& spec() const { return spec_; }
-  const DecodedCache& decoded_cache() const { return cache_; }
-
- private:
-  const index::InvertedIndex* idx_;
-  sim::CpuSpec spec_;
-  CpuEngineOptions opt_;
-  DecodedCache cache_;
-  SvsStepper stepper_;
-  Bm25Scorer scorer_;
 };
 
 }  // namespace griffin::cpu

@@ -482,7 +482,4 @@ std::vector<DocId> GpuExecutor::download_intermediate_prefix(
   return out;
 }
 
-// GpuEngine::execute lives in core/engine_drivers.cpp: it is the shared
-// planner/executor driver under the kAlwaysGpu policy.
-
 }  // namespace griffin::gpu

@@ -61,6 +61,16 @@ std::vector<T> read_vec(std::FILE* f) {
   return v;
 }
 
+/// A scheme byte from disk: anything past the last scheme would fall through
+/// codec_for's switch and decode the list with the wrong codec.
+codec::Scheme read_scheme(std::FILE* f) {
+  const auto s = read_pod<std::uint8_t>(f);
+  if (s >= codec::kNumSchemes) {
+    throw std::runtime_error("index load: bad scheme");
+  }
+  return static_cast<codec::Scheme>(s);
+}
+
 void write_meta(std::FILE* f, const codec::BlockMeta& m) {
   write_pod<std::uint32_t>(f, m.first);
   write_pod<std::uint32_t>(f, m.last);
@@ -79,7 +89,7 @@ codec::BlockMeta read_meta(std::FILE* f) {
   m.last = read_pod<std::uint32_t>(f);
   m.bit_offset = read_pod<std::uint64_t>(f);
   m.count = read_pod<std::uint16_t>(f);
-  m.hdr.scheme = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f));
+  m.hdr.scheme = read_scheme(f);
   m.hdr.b = read_pod<std::uint8_t>(f);
   m.hdr.h16a = read_pod<std::uint16_t>(f);
   m.hdr.h16b = read_pod<std::uint16_t>(f);
@@ -172,7 +182,7 @@ InvertedIndex load_index(const std::string& path) {
     throw std::runtime_error("index load: version mismatch");
   }
   CodecPolicy policy;
-  policy.fixed = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
+  policy.fixed = read_scheme(f.get());
   if (version >= kVersion) {
     policy.adaptive = read_pod<std::uint8_t>(f.get()) != 0;
   }
@@ -190,7 +200,7 @@ InvertedIndex load_index(const std::string& path) {
     const auto size = read_pod<std::uint64_t>(f.get());
     codec::Scheme scheme = policy.fixed;
     if (version >= kVersion) {
-      scheme = static_cast<codec::Scheme>(read_pod<std::uint8_t>(f.get()));
+      scheme = read_scheme(f.get());
     }
     auto blob = read_vec<std::uint64_t>(f.get());
     std::vector<codec::BlockMeta> metas;

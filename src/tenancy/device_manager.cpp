@@ -3,6 +3,7 @@
 #include <cassert>
 #include <deque>
 #include <limits>
+#include <stdexcept>
 
 namespace griffin::tenancy {
 
@@ -17,20 +18,14 @@ constexpr sim::Duration kFar = sim::Duration::from_ps(
 /// a lane is a worker in a warm serving process, not a per-query object.
 struct DeviceManager::Lane {
   Lane(const index::InvertedIndex& idx, const sim::HardwareSpec& hw,
-       const TenancyOptions& opt, const core::Scheduler& sched,
+       const core::HybridOptions& opt, const core::Scheduler& sched,
        const cpu::Bm25Scorer& scorer, const fault::FaultInjector* injector)
-      : gpu(idx, hw, opt.engine.gpu),
-        host_cache(opt.engine.cpu.decoded_cache_bytes),
-        svs(idx, hw.cpu,
-            cpu::SvsOptions{opt.engine.cpu.skip_ratio,
-                            opt.engine.cpu.ef_random_access},
-            &host_cache),
-        exec(hw.cpu, &svs, &gpu, scorer, injector, opt.engine.fault_scope),
+      : backends(idx, hw, opt),
+        exec(hw.cpu, &backends.svs, &backends.gpu, scorer, injector,
+             opt.fault_scope),
         planner(idx, sched, exec) {}
 
-  gpu::GpuExecutor gpu;
-  cpu::DecodedCache host_cache;
-  cpu::SvsStepper svs;
+  core::Backends backends;
   core::StepExecutor exec;
   core::Planner planner;
 
@@ -53,7 +48,9 @@ DeviceManager::DeviceManager(const index::InvertedIndex& idx,
       scorer_(idx, opt.engine.cpu.bm25),
       injector_(opt.engine.faults),
       composer_(opt.batch) {
-  if (opt_.max_concurrency == 0) opt_.max_concurrency = 1;
+  if (opt_.max_concurrency == 0) {
+    throw std::invalid_argument("tenancy max_concurrency must be positive");
+  }
   // Arm the shared injector only when a site is configured: lanes without
   // one skip every fault branch, keeping the disarmed run bit-identical to
   // a build without the injector.
@@ -62,7 +59,7 @@ DeviceManager::DeviceManager(const index::InvertedIndex& idx,
   lanes_.reserve(opt_.max_concurrency);
   for (std::uint32_t i = 0; i < opt_.max_concurrency; ++i) {
     lanes_.push_back(
-        std::make_unique<Lane>(idx, hw_, opt_, sched_, scorer_, inj));
+        std::make_unique<Lane>(idx, hw_, opt_.engine, sched_, scorer_, inj));
   }
 }
 

@@ -34,10 +34,7 @@
 #include "core/planner.h"
 #include "core/scheduler.h"
 #include "cpu/bm25.h"
-#include "cpu/decoded_cache.h"
-#include "cpu/svs_step.h"
 #include "fault/fault.h"
-#include "gpu/engine.h"
 #include "index/inverted_index.h"
 #include "sim/hardware_spec.h"
 #include "sim/timeline.h"
@@ -47,7 +44,8 @@ namespace griffin::tenancy {
 
 struct TenancyOptions {
   /// Admission window: queries allowed on the device concurrently. 1
-  /// degenerates to a sequential device (still on the shared timeline).
+  /// degenerates to a sequential device (still on the shared timeline); 0
+  /// throws std::invalid_argument.
   std::uint32_t max_concurrency = 4;
   /// Cross-query kernel batching (tenancy/batch.h).
   BatchOptions batch;

@@ -10,9 +10,7 @@
 
 #include "codec/codec.h"
 #include "core/hybrid_engine.h"
-#include "cpu/engine.h"
 #include "engine_test_util.h"
-#include "gpu/engine.h"
 
 using namespace griffin;
 

@@ -1,4 +1,4 @@
-#include "cpu/engine.h"
+#include "core/hybrid_engine.h"
 
 #include <gtest/gtest.h>
 

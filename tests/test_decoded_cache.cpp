@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/hybrid_engine.h"
-#include "cpu/engine.h"
 #include "engine_test_util.h"
 
 using namespace griffin;

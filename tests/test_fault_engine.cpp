@@ -10,8 +10,6 @@
 
 #include "core/executor.h"
 #include "core/hybrid_engine.h"
-#include "cpu/decoded_cache.h"
-#include "cpu/svs_step.h"
 #include "engine_test_util.h"
 
 using namespace griffin;
@@ -373,16 +371,13 @@ namespace {
 struct ManualExec {
   explicit ManualExec(const index::InvertedIndex& idx,
                       const fault::FaultConfig& faults)
-      : gpu(idx, sim::HardwareSpec{}, core::HybridOptions{}.gpu),
-        host_cache(core::HybridOptions{}.cpu.decoded_cache_bytes),
-        svs(idx, sim::HardwareSpec{}.cpu, cpu::SvsOptions{}, &host_cache),
+      : backends(idx, sim::HardwareSpec{}, core::HybridOptions{}),
         scorer(idx, cpu::Bm25Params{}),
         injector(faults),
-        exec(sim::HardwareSpec{}.cpu, &svs, &gpu, scorer, &injector, 0) {}
+        exec(sim::HardwareSpec{}.cpu, &backends.svs, &backends.gpu, scorer,
+             &injector, 0) {}
 
-  gpu::GpuExecutor gpu;
-  cpu::DecodedCache host_cache;
-  cpu::SvsStepper svs;
+  core::Backends backends;
   cpu::Bm25Scorer scorer;
   fault::FaultInjector injector;
   core::StepExecutor exec;

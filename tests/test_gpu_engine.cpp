@@ -1,4 +1,4 @@
-#include "gpu/engine.h"
+#include "core/hybrid_engine.h"
 
 #include <gtest/gtest.h>
 

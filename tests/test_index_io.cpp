@@ -208,3 +208,43 @@ TEST(IndexIO, TruncatedFileThrows) {
   EXPECT_THROW(index::load_index(path), std::runtime_error);
   std::remove(path.c_str());
 }
+
+TEST(IndexIO, OutOfRangeSchemeByteThrows) {
+  // A scheme byte past the last codec used to be cast through unchecked,
+  // so codec_for's switch fell through to EF and the list decoded with the
+  // wrong codec. Both the index-wide byte and the v3 per-list byte are
+  // range-checked.
+  util::Xoshiro256 rng(3);
+  index::InvertedIndex idx(index::CodecPolicy{codec::Scheme::kVarByte});
+  idx.add_list(workload::make_uniform_list(60, 100, rng));
+  idx.docs().resize(100);
+  const std::string path = temp_path("griffin_test_bad_scheme.bin");
+  index::save_index(idx, path);
+  ASSERT_EQ(index::load_index(path).list(0).docids.scheme(),
+            codec::Scheme::kVarByte);
+
+  // v3 layout: magic(8) version(4) | fixed scheme(1) adaptive(1)
+  // block_size(4) | ndocs(8) lengths(4 each) | nterms(8) | size(8) scheme(1)
+  const long fixed_at = 12;
+  const long list_at = 18 + 8 + 4 * 100 + 8 + 8;
+  for (const long at : {fixed_at, list_at}) {
+    for (const std::uint8_t bad : {std::uint8_t{6}, std::uint8_t{0xFF}}) {
+      index::save_index(idx, path);
+      std::FILE* f = std::fopen(path.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+      ASSERT_EQ(std::fgetc(f), static_cast<int>(codec::Scheme::kVarByte));
+      ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+      ASSERT_EQ(std::fputc(bad, f), bad);
+      std::fclose(f);
+      try {
+        index::load_index(path);
+        ADD_FAILURE() << "no throw, byte " << at << " = " << int{bad};
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index load: bad scheme")
+            << "byte " << at << " = " << int{bad};
+      }
+    }
+  }
+  std::remove(path.c_str());
+}

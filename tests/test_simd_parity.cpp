@@ -10,7 +10,6 @@
 
 #include "core/hybrid_engine.h"
 #include "cpu/decode.h"
-#include "cpu/engine.h"
 #include "cpu/intersect.h"
 #include "cpu/simd_cost.h"
 #include "engine_test_util.h"

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "core/hybrid_engine.h"
 #include "engine_test_util.h"
@@ -55,6 +57,70 @@ void expect_bit_identical_topk(const std::vector<core::ScoredDoc>& got,
   }
 }
 
+/// A single-lane tenant result against the same query on a sequential
+/// engine: equal in every field, with the shared timeline's step placements
+/// offset by the query's release time.
+void expect_same_as_sequential(const tenancy::TenantResult& got,
+                               const core::QueryResult& want) {
+  const core::QueryMetrics& g = got.result.metrics;
+  const core::QueryMetrics& w = want.metrics;
+  EXPECT_EQ(g.total, w.total);
+  EXPECT_EQ(g.decode, w.decode);
+  EXPECT_EQ(g.intersect, w.intersect);
+  EXPECT_EQ(g.transfer, w.transfer);
+  EXPECT_EQ(g.rank, w.rank);
+  EXPECT_EQ(g.gpu_kernels, w.gpu_kernels);
+  EXPECT_EQ(g.migrations, w.migrations);
+  EXPECT_EQ(g.result_count, w.result_count);
+  EXPECT_TRUE(g.cache == w.cache);
+  EXPECT_TRUE(g.overlap == w.overlap);
+  EXPECT_TRUE(g.faults == w.faults);
+  EXPECT_TRUE(g.simd == w.simd);
+  EXPECT_EQ(g.placements, w.placements);
+  expect_bit_identical_topk(got.result.topk, want.topk, 0);
+
+  const auto& gt = got.result.trace;
+  const auto& wt = want.trace;
+  ASSERT_EQ(gt.size(), wt.size());
+  for (std::size_t s = 0; s < wt.size(); ++s) {
+    const core::StepRecord& x = gt[s];
+    const core::StepRecord& y = wt[s];
+    EXPECT_EQ(x.kind, y.kind) << "step " << s;
+    EXPECT_EQ(x.query, y.query) << "step " << s;
+    EXPECT_EQ(x.batch_group, y.batch_group) << "step " << s;
+    EXPECT_EQ(x.placement, y.placement) << "step " << s;
+    EXPECT_EQ(x.alpha, y.alpha) << "step " << s;
+    EXPECT_EQ(x.term, y.term) << "step " << s;
+    EXPECT_EQ(x.shape.shorter, y.shape.shorter) << "step " << s;
+    EXPECT_EQ(x.shape.longer, y.shape.longer) << "step " << s;
+    EXPECT_EQ(x.shape.longer_bytes, y.shape.longer_bytes) << "step " << s;
+    EXPECT_EQ(x.shape.longer_scheme, y.shape.longer_scheme) << "step " << s;
+    EXPECT_EQ(x.shape.current_location, y.shape.current_location)
+        << "step " << s;
+    EXPECT_EQ(x.shape.longer_device_resident, y.shape.longer_device_resident)
+        << "step " << s;
+    EXPECT_EQ(x.shape.longer_host_decoded, y.shape.longer_host_decoded)
+        << "step " << s;
+    EXPECT_EQ(x.shape.longer_prefetched, y.shape.longer_prefetched)
+        << "step " << s;
+    EXPECT_EQ(x.output_count, y.output_count) << "step " << s;
+    EXPECT_EQ(x.gpu_kernels, y.gpu_kernels) << "step " << s;
+    EXPECT_EQ(x.migration, y.migration) << "step " << s;
+    EXPECT_EQ(x.faulted, y.faulted) << "step " << s;
+    EXPECT_EQ(x.leg_faulted, y.leg_faulted) << "step " << s;
+    EXPECT_EQ(x.duration, y.duration) << "step " << s;
+    EXPECT_EQ(x.decode, y.decode) << "step " << s;
+    EXPECT_EQ(x.intersect, y.intersect) << "step " << s;
+    EXPECT_EQ(x.transfer, y.transfer) << "step " << s;
+    EXPECT_EQ(x.rank, y.rank) << "step " << s;
+    EXPECT_TRUE(x.simd == y.simd) << "step " << s;
+    EXPECT_EQ(x.issue - got.release, y.issue) << "step " << s;
+    EXPECT_EQ(x.start - got.release, y.start) << "step " << s;
+    EXPECT_EQ(x.end - got.release, y.end) << "step " << s;
+    EXPECT_EQ(x.resource, y.resource) << "step " << s;
+  }
+}
+
 }  // namespace
 
 TEST(Tenancy, GoldenParityWithSequentialExecution) {
@@ -93,22 +159,42 @@ TEST(Tenancy, GoldenParityWithSequentialExecution) {
 TEST(Tenancy, SingleLaneMatchesSequentialTimingExactly) {
   // max_concurrency = 1 on the shared timeline IS the sequential device:
   // the same warm caches in the same order, streams merely offset by the
-  // release time. Every per-query latency must match the persistent
-  // sequential engine to the picosecond.
+  // release time. Every per-query result must match the persistent
+  // sequential engine exactly — trace, counters, top-k bits — under the
+  // default backend options and under non-default ones, which the lanes
+  // must hand to their backends the way the engine does.
   const auto& idx = testutil::large_index();
   const auto queries = tenant_queries(25, 33);
 
-  core::HybridEngine seq(idx);
-  std::vector<sim::Duration> want;
-  for (const auto& q : queries) want.push_back(seq.execute(q).metrics.total);
+  core::HybridOptions tuned;
+  tuned.cpu.ef_random_access = true;
+  tuned.cpu.skip_ratio = 4;
+  tuned.cpu.decoded_cache_bytes = 0;
+  tuned.gpu.double_buffer = false;
+  const std::pair<const char*, core::HybridOptions> inputs[] = {
+      {"default", core::HybridOptions{}}, {"tuned", tuned}};
+  for (const auto& [label, engine] : inputs) {
+    core::HybridEngine seq(idx, {}, engine);
+    std::vector<core::QueryResult> want;
+    for (const auto& q : queries) want.push_back(seq.execute(q));
 
-  tenancy::TenancyOptions opt;
-  opt.max_concurrency = 1;
-  tenancy::DeviceManager dm(idx, {}, opt);
-  const auto got = dm.run(dense_load(queries, 50.0));
+    tenancy::TenancyOptions opt;
+    opt.max_concurrency = 1;
+    opt.engine = engine;
+    tenancy::DeviceManager dm(idx, {}, opt);
+    const auto got = dm.run(dense_load(queries, 50.0));
 
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i].result.metrics.total.ps(), want[i].ps()) << "query " << i;
+    std::uint64_t cpu_steps = 0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(std::string(label) + " query " + std::to_string(i));
+      expect_same_as_sequential(got[i], want[i]);
+      for (const auto& r : want[i].trace) {
+        cpu_steps += r.placement == core::Placement::kCpu &&
+                     r.kind == core::StepKind::kIntersect;
+      }
+    }
+    // The CPU options only matter if the CPU backend ran intersections.
+    EXPECT_GT(cpu_steps, 0u) << label;
   }
 }
 
@@ -256,6 +342,15 @@ TEST(Tenancy, EmptyQueriesAndEmptyLoadAreWellDefined) {
   EXPECT_TRUE(results[0].result.topk.empty());
   EXPECT_EQ(results[0].finish.ps(), results[0].release.ps());
   EXPECT_FALSE(results[1].result.trace.empty());
+}
+
+TEST(Tenancy, ZeroConcurrencyIsRejected) {
+  // An admission window of no lanes could never run a query; it used to be
+  // rewritten silently to 1.
+  tenancy::TenancyOptions opt;
+  opt.max_concurrency = 0;
+  EXPECT_THROW(tenancy::DeviceManager(testutil::small_index(), {}, opt),
+               std::invalid_argument);
 }
 
 // ---- Fault-aware tenancy (DESIGN.md §16): arming the shared device's
