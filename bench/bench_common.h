@@ -237,7 +237,7 @@ inline const char* step_kind_name(core::StepKind k) {
     case core::StepKind::kTransfer: return "transfer";
     case core::StepKind::kRank: return "rank";
     case core::StepKind::kPrefetch: return "prefetch";
-    case core::StepKind::kHostDecode: return "host_decode";
+    case core::StepKind::kHostDecode: return "host_decode";  // never emitted
   }
   return "?";
 }
@@ -262,8 +262,7 @@ inline Json step_json(const core::StepRecord& r) {
   if (r.batch_group != 0) j["batch_group"] = r.batch_group;
   if (r.kind == core::StepKind::kDecode ||
       r.kind == core::StepKind::kIntersect ||
-      r.kind == core::StepKind::kPrefetch ||
-      r.kind == core::StepKind::kHostDecode) {
+      r.kind == core::StepKind::kPrefetch) {
     j["term"] = static_cast<std::uint64_t>(r.term);
   }
   if (r.kind == core::StepKind::kIntersect) {

@@ -32,7 +32,6 @@ struct Config {
 struct RunStats {
   util::PercentileTracker latency;
   std::uint64_t split_steps = 0;
-  std::uint64_t host_decodes = 0;
   std::uint64_t prefetch_issued = 0;
   std::uint64_t prefetch_used = 0;
   double overlap_saved_ms = 0.0;
@@ -57,7 +56,6 @@ RunStats run_workload(const index::InvertedIndex& idx, const Config& cfg,
     core::TraceSummary sum;
     sum.add(res.trace);
     st.split_steps += sum.split_intersects;
-    st.host_decodes += sum.host_decode_steps;
     st.prefetch_issued += res.metrics.overlap.prefetch_issued;
     st.prefetch_used += res.metrics.overlap.prefetch_used;
     st.overlap_saved_ms += res.metrics.overlap.saved.ms();
@@ -121,7 +119,6 @@ RunStats run_pairs(const std::vector<BandPair>& pairs, const Config& cfg) {
     core::TraceSummary sum;
     sum.add(res.trace);
     st.split_steps += sum.split_intersects;
-    st.host_decodes += sum.host_decode_steps;
     st.prefetch_issued += res.metrics.overlap.prefetch_issued;
     st.prefetch_used += res.metrics.overlap.prefetch_used;
     st.overlap_saved_ms += res.metrics.overlap.saved.ms();
@@ -138,7 +135,6 @@ bench::Json stats_json(const RunStats& st) {
   bench::Json j = bench::Json::object();
   j["latency"] = bench::latency_json(st.latency);
   j["split_steps"] = st.split_steps;
-  j["host_decode_steps"] = st.host_decodes;
   j["prefetch_issued"] = st.prefetch_issued;
   j["prefetch_used"] = st.prefetch_used;
   j["overlap_saved_ms"] = st.overlap_saved_ms;
@@ -176,8 +172,8 @@ int main() {
     const bool is_mixed = std::string(wl) == "mixed";
     std::printf("\n%s workload (%zu queries):\n", wl,
                 is_mixed ? mixed.size() : banded.size());
-    std::printf("  %-16s %10s %10s %8s %8s %10s %8s\n", "config", "mean(ms)",
-                "p95(ms)", "splits", "hostdec", "pf use/iss", "vs base");
+    std::printf("  %-16s %10s %10s %8s %10s %8s\n", "config", "mean(ms)",
+                "p95(ms)", "splits", "pf use/iss", "vs base");
     bench::Json rows = bench::Json::object();
     double base_mean = 0.0;
     std::uint64_t base_digest = 0;
@@ -192,11 +188,10 @@ int main() {
       } else if (st.digest != base_digest) {
         identical = false;
       }
-      std::printf("  %-16s %10.3f %10.3f %8llu %8llu %5llu/%-4llu %7.3fx\n",
+      std::printf("  %-16s %10.3f %10.3f %8llu %5llu/%-4llu %7.3fx\n",
                   cfg.name, mean,
                   st.latency.count() ? st.latency.percentile(95) : 0.0,
                   static_cast<unsigned long long>(st.split_steps),
-                  static_cast<unsigned long long>(st.host_decodes),
                   static_cast<unsigned long long>(st.prefetch_used),
                   static_cast<unsigned long long>(st.prefetch_issued),
                   mean > 0.0 ? base_mean / mean : 0.0);

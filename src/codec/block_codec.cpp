@@ -67,6 +67,32 @@ BlockCompressedList BlockCompressedList::from_parts(
   if (size == 0 || metas.empty()) {
     throw std::invalid_argument("from_parts: empty list");
   }
+  // The parts come from disk (index/io.h): check the structure every
+  // decoder relies on, so a flipped byte throws here instead of writing
+  // past decode_all's size()-element output. A block may start exactly at
+  // the blob's end: zero-payload blocks (BP128 with b = 0, a one-posting
+  // VarByte block) occupy no bits.
+  const std::uint64_t blob_bits = 64 * static_cast<std::uint64_t>(blob.size());
+  std::uint64_t postings = 0;
+  for (std::size_t b = 0; b < metas.size(); ++b) {
+    const BlockMeta& m = metas[b];
+    if (m.count == 0 || m.count > block_size) {
+      throw std::invalid_argument("from_parts: block count out of range");
+    }
+    if (m.first > m.last) {
+      throw std::invalid_argument("from_parts: block first > last");
+    }
+    if (b > 0 && m.last <= metas[b - 1].last) {
+      throw std::invalid_argument("from_parts: block last not increasing");
+    }
+    if (m.bit_offset > blob_bits) {
+      throw std::invalid_argument("from_parts: block offset past the blob");
+    }
+    postings += m.count;
+  }
+  if (postings != size) {
+    throw std::invalid_argument("from_parts: block counts do not sum to size");
+  }
   BlockCompressedList list;
   list.scheme_ = scheme;
   list.block_size_ = block_size;

@@ -84,6 +84,10 @@ class BlockCompressedList {
                                    std::uint8_t pfor_forced_b = 0);
 
   /// Reassembles a list from previously serialized parts (index/io.h).
+  /// Throws std::invalid_argument unless the skip table is consistent:
+  /// every count in [1, block_size] and summing to size, first <= last in
+  /// each block, last strictly increasing across blocks, and every
+  /// bit_offset inside the blob (at most its end).
   static BlockCompressedList from_parts(Scheme scheme, std::uint32_t block_size,
                                         std::uint64_t size,
                                         std::vector<std::uint64_t> blob,

@@ -121,19 +121,6 @@ void StepExecutor::dispatch(const PlanStep& step, const Query& q,
     gpu_->prefetch(p->term, m);  // intermediate and location unchanged
     return;
   }
-  if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
-    // Inter-step pipelining (DESIGN.md §15): the host core decodes a later
-    // term while the device runs the current step. Recorded on the CPU
-    // stream — later CPU ops serialize behind it, which is what makes the
-    // work-ahead honest — but waiting on nothing and never advancing the
-    // plan frontier: no step *depends* on it, a consumer simply finds the
-    // list in the decoded cache.
-    const sim::Duration c0 = m.total;
-    svs_->decode_ahead(h->term, m);
-    tl_->record(cpu_stream_, sim::Resource::kCpu, m.total - c0,
-                sim::Timeline::Event{});
-    return;
-  }
   // RankStep: BM25 + partial_sort on the host. Scoring uses the query's
   // original term order, not the SvS length order: float accumulation order
   // is then a property of the query alone, so a document-partitioned shard
@@ -385,13 +372,12 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
   // One classification pass over the step, shared by the fault checks and
   // the record/frontier plumbing below. GPU-dispatched steps record their
   // own timeline ops (ledgers + kernels) chained off the plan frontier;
-  // split and host-decode steps manage their own ops inside dispatch;
-  // everything else becomes one CPU op.
-  bool gpu_step = false;          ///< dispatch drives the GpuExecutor chain
-  bool split_step = false;        ///< kSplit: both legs, joined frontier
-  bool host_decode_step = false;  ///< unchained CPU work-ahead
-  bool gpu_compute = false;       ///< kGpu-placed kernels (not kSplit)
-  bool dev_alloc = false;         ///< step allocates device memory (OOM site)
+  // split steps manage their own ops inside dispatch; everything else
+  // becomes one CPU op.
+  bool gpu_step = false;     ///< dispatch drives the GpuExecutor chain
+  bool split_step = false;   ///< kSplit: both legs, joined frontier
+  bool gpu_compute = false;  ///< kGpu-placed kernels (not kSplit)
+  bool dev_alloc = false;    ///< step allocates device memory (OOM site)
   const auto* prefetch = std::get_if<PrefetchStep>(&step);
   if (const auto* d = std::get_if<DecodeStep>(&step)) {
     gpu_step = d->where == Placement::kGpu;
@@ -412,8 +398,6 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
   } else if (prefetch != nullptr) {
     gpu_step = true;
     dev_alloc = true;
-  } else if (std::holds_alternative<HostDecodeStep>(step)) {
-    host_decode_step = true;
   }
 
   // Pre-dispatch fault checks (DESIGN.md §11/§16): every fault fires before
@@ -537,11 +521,6 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
     rec.placement = Placement::kGpu;
     rec.term = p->term;
     rec.resource = sim::Resource::kCopyH2D;
-  } else if (const auto* h = std::get_if<HostDecodeStep>(&step)) {
-    rec.kind = StepKind::kHostDecode;
-    rec.placement = Placement::kCpu;
-    rec.term = h->term;
-    rec.resource = sim::Resource::kCpu;
   } else {
     rec.kind = StepKind::kRank;
     rec.placement = Placement::kCpu;
@@ -563,9 +542,6 @@ StepStatus StepExecutor::run(const PlanStep& step, const Query& q,
     // Prefetches leave the chain untouched, so the frontier is unchanged
     // for them — later steps don't wait on a prefetch unless they use it.
     frontier_ = gpu_->chain();
-  } else if (host_decode_step) {
-    // The work-ahead recorded its own unchained CPU op; the plan frontier
-    // deliberately does not advance (nothing depends on it).
   } else {
     frontier_ = tl_->record(cpu_stream_, sim::Resource::kCpu, rec.duration,
                             frontier_);

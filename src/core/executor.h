@@ -155,7 +155,7 @@ class StepExecutor : public ResidencyProbe {
   sim::Timeline::StreamId cpu_stream_ = 0;
   /// The plan frontier: completion of the latest step every later dependent
   /// op must wait on. GPU steps advance it through the GpuExecutor's chain;
-  /// prefetch and host-decode steps deliberately leave it alone.
+  /// prefetch steps deliberately leave it alone.
   sim::Timeline::Event frontier_;
   /// Completion of the last kSplit step (join of both legs); consumed by
   /// run() as the frontier since neither gpu_->chain() nor a single CPU op

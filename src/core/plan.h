@@ -72,19 +72,7 @@ struct PrefetchStep {
   index::TermId term = 0;
 };
 
-/// Decode a later intersect's longer list on the host, into the decoded
-/// cache, while the GPU runs the current step (inter-step pipelining,
-/// DESIGN.md §15): the planner stages one when the current intersect keeps
-/// the device busy, the *next* term is predicted to be intersected on the
-/// CPU, and the decode is short enough to hide under the device work. Like
-/// kPrefetch it never advances the plan frontier; the host core serializes
-/// it before later CPU ops (one core), which is exactly the idle window it
-/// fills. Never changes results.
-struct HostDecodeStep {
-  index::TermId term = 0;
-};
-
 using PlanStep = std::variant<DecodeStep, IntersectStep, TransferStep,
-                              RankStep, PrefetchStep, HostDecodeStep>;
+                              RankStep, PrefetchStep>;
 
 }  // namespace griffin::core

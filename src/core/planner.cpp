@@ -40,10 +40,8 @@ void Planner::recover(const PlanStep& step, StepStatus status) {
 void Planner::degrade_to_cpu(const PlanStep& step) {
   forced_cpu_ = true;
   // A prefetch staged alongside the faulted step has no consumer anymore
-  // (the executor discards the in-flight uploads as part of its recovery),
-  // and a staged host work-ahead was bet on device work that won't run.
+  // (the executor discards the in-flight uploads as part of its recovery).
   staged_prefetch_.reset();
-  staged_host_decode_.reset();
   if (std::holds_alternative<DecodeStep>(step)) {
     // Single-term GPU decode: restart the plan; the re-emitted decode runs
     // on the host.
@@ -67,15 +65,13 @@ void Planner::degrade_to_cpu(const PlanStep& step) {
 
 void Planner::force_cpu() {
   forced_cpu_ = true;
-  // Staged bets assumed a healthy device: the executor's recovery discarded
-  // the in-flight uploads, and the host core is about to be busy anyway.
+  // A staged prefetch assumed a healthy device: the executor's recovery
+  // discarded the in-flight uploads.
   staged_prefetch_.reset();
-  staged_host_decode_.reset();
 }
 
 void Planner::degrade_step_to_cpu(const PlanStep& step) {
   staged_prefetch_.reset();
-  staged_host_decode_.reset();
   if ([[maybe_unused]] const auto* t = std::get_if<TransferStep>(&step)) {
     // The H2D migration's device allocation failed before the upload, so
     // the intermediate never left the host. The already-decided pending
@@ -127,7 +123,7 @@ void Planner::maybe_stage_prefetch(const IntersectStep& step) {
     // is pure loss the moment it flips.
     const std::uint64_t shrunk = std::max<std::uint64_t>(
         static_cast<std::uint64_t>(static_cast<double>(step.shape.shorter) /
-                                   o.prefetch_shrink_robustness),
+                                   kPrefetchShrinkRobustness),
         1);
     if (sched_->decide(shape_for(shrunk, nxt, Placement::kCpu)) ==
         Placement::kCpu) {
@@ -139,33 +135,8 @@ void Planner::maybe_stage_prefetch(const IntersectStep& step) {
   // deferred transfer beats even a hidden full-payload upload.
   const double ratio = static_cast<double>(idx_->list(nxt).size()) /
                        static_cast<double>(step.shape.shorter);
-  if (ratio >= o.prefetch_ratio_limit) return;
+  if (ratio >= kPrefetchRatioLimit) return;
   staged_prefetch_ = nxt;
-}
-
-void Planner::maybe_stage_host_decode(const IntersectStep& step) {
-  const SchedulerOptions& o = sched_->options();
-  if (!o.pipeline_idle || step.where != Placement::kGpu) return;
-  if (next_term_ >= terms_.size()) return;  // no later list to decode
-  const index::TermId nxt = terms_[next_term_];
-  if (probe_->host_decoded(nxt)) return;  // nothing to work ahead on
-  if (step.shape.shorter == 0) return;
-  // A prefetch of the same term bets on a device consumer; don't also bet
-  // the host core on the opposite outcome.
-  if (staged_prefetch_.has_value() && *staged_prefetch_ == nxt) return;
-  // Work ahead only when the next step is predicted to run host-side (the
-  // decode helps nobody otherwise) and the decode fits under the device
-  // step's estimated time — a longer decode would stall the plan frontier
-  // it was meant to hide under.
-  const Placement nxt_where =
-      sched_->decide(shape_for(step.shape.shorter, nxt, Placement::kGpu));
-  if (nxt_where != Placement::kCpu) return;
-  const auto& list = idx_->list(nxt).docids;
-  if (sched_->estimate_host_decode(list.size(), list.scheme()) >
-      sched_->estimate_gpu(step.shape)) {
-    return;
-  }
-  staged_host_decode_ = nxt;
 }
 
 void Planner::begin(const Query& q) {
@@ -177,7 +148,6 @@ void Planner::begin(const Query& q) {
   next_term_ = 0;
   stage_ = terms_.empty() ? Stage::kDone : Stage::kStart;
   staged_prefetch_.reset();
-  staged_host_decode_.reset();
   forced_cpu_ = false;
   force_next_cpu_ = false;
 }
@@ -191,13 +161,6 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
     const index::TermId t = *staged_prefetch_;
     staged_prefetch_.reset();
     return PrefetchStep{t};
-  }
-  // Likewise for a staged host work-ahead: the host core started decoding
-  // when the device step was issued.
-  if (staged_host_decode_.has_value()) {
-    const index::TermId t = *staged_host_decode_;
-    staged_host_decode_.reset();
-    return HostDecodeStep{t};
   }
 
   if (stage_ == Stage::kStart) {
@@ -231,7 +194,6 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
     next_term_ = 2;
     stage_ = Stage::kIntersect;
     maybe_stage_prefetch(step);
-    maybe_stage_host_decode(step);
     return step;
   }
 
@@ -255,7 +217,6 @@ std::optional<PlanStep> Planner::next(std::uint64_t intermediate_count,
       }
       ++next_term_;
       maybe_stage_prefetch(step);
-      maybe_stage_host_decode(step);
       // A split step consumes the intermediate wherever it lives (the
       // executor partitions in place, downloading only the CPU leg's prefix
       // when it is device-resident), so no migration transfer precedes it.

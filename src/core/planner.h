@@ -111,7 +111,7 @@ class Planner {
   /// Pins every remaining decision to the CPU without rewinding — the
   /// split-leg fault path (DESIGN.md §16): the step completed (CPU leg +
   /// host-side redo of the GPU range), but the device is no longer trusted
-  /// for this query. Also drops staged prefetch/work-ahead bets.
+  /// for this query. Also drops a staged prefetch.
   void force_cpu();
 
   /// All placement decisions are pinned to the CPU for the rest of this
@@ -148,14 +148,6 @@ class Planner {
   /// prefetch is emitted even if the intersect empties the intermediate.
   void maybe_stage_prefetch(const IntersectStep& step);
 
-  /// Inter-step pipelining, host side (DESIGN.md §15): after a kGpu
-  /// intersect is decided the host core is idle, so if the *following*
-  /// step is predicted to run on the CPU and the next term's host decode
-  /// fits under the device step's estimated time, stage a HostDecodeStep.
-  /// Split steps keep the host busy with their own CPU leg and never
-  /// work-ahead.
-  void maybe_stage_host_decode(const IntersectStep& step);
-
   const index::InvertedIndex* idx_;
   const Scheduler* sched_;
   const ResidencyProbe* probe_;
@@ -164,7 +156,6 @@ class Planner {
   Stage stage_ = Stage::kDone;
   IntersectStep pending_;  ///< valid in kPendingIntersect
   std::optional<index::TermId> staged_prefetch_;
-  std::optional<index::TermId> staged_host_decode_;
   bool forced_cpu_ = false;  ///< degraded: every decision pinned to the CPU
   /// One-shot CPU pin (degrade_step_to_cpu): consumed by the next
   /// decode/intersect decision, then placements are free again.

@@ -49,11 +49,8 @@ enum class StepKind : std::uint8_t {
   /// overlapping the current step's kernels (DESIGN.md §10). Never changes
   /// results; dropped (its entry discarded) when the plan migrates to CPU.
   kPrefetch,
-  /// Host-side decode of a later step's posting list into the decoded
-  /// cache while the GPU runs the current intersect (DESIGN.md §15): the
-  /// idle processor works ahead on a step with no data dependence. Like
-  /// kPrefetch it never advances the plan frontier — only a later consumer
-  /// (via the host cache) benefits.
+  /// Never emitted. It named the deleted host decode-ahead step (DESIGN.md
+  /// §15); the benchmark's step-name table still lists it.
   kHostDecode,
 };
 
@@ -154,7 +151,6 @@ struct TraceSummary : util::Counters<TraceSummary> {
   std::uint64_t gpu_intersects = 0;  ///< intersect steps placed on the GPU
   /// Intersect steps co-executed on both processors (Placement::kSplit).
   std::uint64_t split_intersects = 0;
-  std::uint64_t host_decode_steps = 0;  ///< kHostDecode work-ahead steps
   std::uint64_t migrations = 0;      ///< transfer steps that were migrations
   std::uint64_t faulted_steps = 0;   ///< steps abandoned by injected faults
   /// Split steps that completed with their GPU leg redone on the CPU after
@@ -199,7 +195,7 @@ struct TraceSummary : util::Counters<TraceSummary> {
         break;
       case StepKind::kRank: ++rank_steps; break;
       case StepKind::kPrefetch: ++prefetch_steps; break;
-      case StepKind::kHostDecode: ++host_decode_steps; break;
+      case StepKind::kHostDecode: break;  // never emitted
     }
     step_time += r.duration;
   }
@@ -228,7 +224,6 @@ struct TraceSummary : util::Counters<TraceSummary> {
         util::field(&T::cpu_intersects, "cpu_intersects"),
         util::field(&T::gpu_intersects, "gpu_intersects"),
         util::field(&T::split_intersects, "split_intersects"),
-        util::field(&T::host_decode_steps, "host_decode_steps"),
         util::field(&T::migrations, "migrations"),
         util::field(&T::faulted_steps, "faulted_steps"),
         util::field(&T::leg_faulted_steps, "leg_faulted_steps"),

@@ -46,11 +46,10 @@ Placement Scheduler::cost_decide(const StepShape& s, bool allow_split) const {
   const sim::Duration t_cpu = estimate_cpu(s);
   const sim::Duration t_gpu = estimate_gpu(s);
   const sim::Duration best = sim::min(t_cpu, t_gpu);
-  if (allow_split && opt_.split && s.shorter >= opt_.split_min_probe) {
+  if (allow_split && opt_.split && s.shorter >= kSplitMinProbe) {
     const auto [alpha, t_split] = best_split(s);
     (void)alpha;
-    const double gate =
-        (1.0 - opt_.split_min_gain) * static_cast<double>(best.ps());
+    const double gate = (1.0 - kSplitMinGain) * static_cast<double>(best.ps());
     if (static_cast<double>(t_split.ps()) < gate) return Placement::kSplit;
   }
   return t_gpu < t_cpu ? Placement::kGpu : Placement::kCpu;
@@ -71,30 +70,29 @@ Placement Scheduler::decide(const StepShape& s) const {
       // Residency-adjusted crossover: a device-resident long list removes
       // the GPU's transfer cost (raises λ), a host-decoded one removes the
       // CPU's decode cost (lowers λ). Cold caches leave λ at the paper's.
-      double threshold = opt_.ratio_threshold;
       // A vectorized CPU cheapens the skip path the same way at every λ, so
       // the λ=128 balance point slides down by the SIMD-to-scalar cost
       // ratio (1.0 for a scalar CpuSpec).
-      if (opt_.simd_aware) threshold *= cpu::simd::crossover_scale(hw_.cpu);
+      double threshold =
+          opt_.ratio_threshold * cpu::simd::crossover_scale(hw_.cpu);
       if (opt_.residency_aware) {
         if (s.longer_device_resident) {
-          threshold *= opt_.resident_ratio_boost;
+          threshold *= kResidentRatioBoost;
         } else if (s.longer_prefetched) {
           // The H2D is already paid (and hidden on the copy engine), so the
           // GPU side looks like the resident case.
-          threshold *= opt_.prefetch_ratio_boost;
+          threshold *= kPrefetchRatioBoost;
         }
-        if (s.longer_host_decoded) threshold *= opt_.host_decoded_ratio_scale;
+        if (s.longer_host_decoded) threshold *= kHostDecodedRatioScale;
       }
       // Co-execution (DESIGN.md §15): near the crossover both processors
       // finish in comparable time, which is exactly where splitting one
       // step across both beats either alone. The binary rule generalizes
-      // into the band [threshold/split_band, threshold*split_band): inside
+      // into the band [threshold/kSplitBand, threshold*kSplitBand): inside
       // it the decision falls through to the three-way cost comparison;
       // outside it one processor dominates and the ratio rule stands.
-      if (opt_.split && s.shorter >= opt_.split_min_probe &&
-          ratio >= threshold / opt_.split_band &&
-          ratio < threshold * opt_.split_band) {
+      if (opt_.split && s.shorter >= kSplitMinProbe &&
+          ratio >= threshold / kSplitBand && ratio < threshold * kSplitBand) {
         return cost_decide(s, /*allow_split=*/true);
       }
       return ratio < threshold ? Placement::kGpu : Placement::kCpu;
@@ -136,10 +134,9 @@ sim::Duration Scheduler::estimate_cpu(const StepShape& s) const {
   // The estimate prices each term through cpu/simd_cost.h's effective_*
   // helpers — the same closed forms the engine charges through — so the
   // decision model and the charges can never disagree. With the vector
-  // unit off (or simd_aware disabled) every helper returns the scalar
-  // CpuSpec knob and this reduces to the pre-SIMD estimate exactly.
-  sim::CpuSpec c = hw_.cpu;
-  if (!opt_.simd_aware) c.vector.enabled = false;
+  // unit off every helper returns the scalar CpuSpec knob and this reduces
+  // to the pre-SIMD estimate exactly.
+  const sim::CpuSpec& c = hw_.cpu;
   const double ns = static_cast<double>(s.shorter);
   const double nl = static_cast<double>(s.longer);
   double cycles;
@@ -183,10 +180,9 @@ sim::Duration Scheduler::selective_gpu_time(double ns,
   const auto& g = hw_.gpu;
   const double nl = static_cast<double>(s.longer);
   // Roughly five launches per step (search + decode + search + compact).
+  // Device buffers come from a warm pool (GpuOptions::pooled_memory), so no
+  // per-step allocation is priced.
   sim::Duration t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
-  if (!opt_.assume_pooled_memory) {
-    t += sim::Duration::from_us(4.0 * hw_.pcie.alloc_us);
-  }
   const bool resident = opt_.residency_aware &&
                         (s.longer_device_resident || s.longer_prefetched);
   // Only candidate blocks move and decode; the transfer term uses the
@@ -217,11 +213,9 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
 
   sim::Duration t;
   if (ratio < 128.0) {
-    // Roughly five launches per step (decode + partition + merge + compact).
+    // Roughly five launches per step (decode + partition + merge + compact),
+    // from a warm buffer pool as in selective_gpu_time.
     t = sim::Duration::from_us(5.0 * g.kernel_launch_us);
-    if (!opt_.assume_pooled_memory) {
-      t += sim::Duration::from_us(4.0 * hw_.pcie.alloc_us);
-    }
     // A device-resident long list (gpu/list_cache.h) skips the PCIe
     // transfer terms entirely — §2.3's overhead is exactly what the cache
     // removes. A prefetched one (DESIGN.md §10) already paid them on the
@@ -240,7 +234,7 @@ sim::Duration Scheduler::estimate_gpu(const StepShape& s) const {
     const double touched_bytes = (ns + nl) * 12.0;  // decode + merge traffic
     const sim::Duration mem =
         sim::Duration::from_ns(touched_bytes / g.mem_bandwidth_gbps);
-    t += opt_.overlap_aware ? sim::max(xfer, mem) : xfer + mem;
+    t += sim::max(xfer, mem);
     t += sim::Duration::from_ns(nl * gpu_decode_penalty_ns(s.longer_scheme));
   } else {
     t = selective_gpu_time(ns, s);
@@ -295,24 +289,6 @@ sim::Duration Scheduler::estimate_split(const StepShape& s,
 
   // The legs run concurrently on the timeline: the step costs their max.
   return sim::max(cpu_leg, gpu_leg);
-}
-
-sim::Duration Scheduler::estimate_host_decode(std::uint64_t n,
-                                              codec::Scheme sc) const {
-  // Mirrors decode_all's full charge, not just the per-element decode: the
-  // materialization surcharge dominates a full-list decode (24 scalar
-  // cycles/element vs ~2 for the decode itself), and the output writes hit
-  // the memory-bandwidth roofline. Underpricing here would stage decodes
-  // that blow past the device step they were meant to hide under.
-  sim::CpuSpec c = hw_.cpu;
-  if (!opt_.simd_aware) c.vector.enabled = false;
-  const double cycles =
-      static_cast<double>(n) * (cpu::simd::effective_decode_cycles(c, sc) +
-                                cpu::simd::effective_materialize_cycles(c));
-  const sim::Duration compute = sim::Duration::from_cycles(cycles, c.clock_ghz);
-  const sim::Duration bw = sim::Duration::from_ns(
-      static_cast<double>(n) * 4.0 / c.mem_bandwidth_gbps);
-  return sim::max(compute, bw);
 }
 
 }  // namespace griffin::core

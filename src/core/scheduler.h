@@ -13,6 +13,13 @@
 // the engines charge against) is included as the extension the paper
 // sketches ("it could be extended to support other features"), and is
 // compared against the ratio rule in bench/ablation_scheduling.
+//
+// Both policies consume the CPU's vector-mode costs (cpu/simd_cost.h):
+// kCostModel estimates CPU steps with the effective_* SIMD costs (the same
+// closed forms the engine charges through), and kRatioThreshold scales its
+// crossover by the SIMD-to-scalar cost ratio of the skip path, so a
+// vectorized CPU claims more of the ratio spectrum (DESIGN.md §13 derives
+// the scale). A scalar CpuSpec makes both exactly the scalar rules.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +41,44 @@ enum class SchedulerPolicy : std::uint8_t {
   kAlwaysSplit,
 };
 
+// Scheduler and planner constants. They are not options: every caller runs
+// with these values.
+
+/// kRatioThreshold multiplier when the long list is device-resident.
+inline constexpr double kResidentRatioBoost = 4.0;
+/// kRatioThreshold multiplier when the long list is already prefetched:
+/// like device residency, the GPU owes no (visible) transfer for it, so the
+/// crossover rises.
+inline constexpr double kPrefetchRatioBoost = 4.0;
+/// kRatioThreshold multiplier when the long list is host-decoded.
+inline constexpr double kHostDecodedRatioScale = 0.5;
+/// Don't prefetch a list longer than this ratio times the current
+/// intermediate: above it the binary-search path's deferred transfer (skip
+/// table + candidate blocks only) moves less data than the full payload a
+/// prefetch would, hidden or not. 2x the path crossover.
+inline constexpr double kPrefetchRatioLimit = 256.0;
+/// A prefetch staged during a CPU-placed intersect is only worth paying for
+/// when the predicted device consumer survives the intersect cutting the
+/// intermediate: the prediction must also hold at probe size
+/// shorter / this factor, else the upload is pure loss the moment the
+/// shrunken ratio re-favors the host. Applies to the pipeline_idle path
+/// only (device-placed steps keep the unconditional prefetch).
+inline constexpr double kPrefetchShrinkRobustness = 8.0;
+/// Half-width (multiplicative) of the ratio-policy split band
+/// [threshold / kSplitBand, threshold * kSplitBand).
+inline constexpr double kSplitBand = 4.0;
+/// Never split a probe side smaller than this: the GPU leg's fixed costs
+/// (kernel launches, probe H2D, partial D2H) need work to amortize over.
+inline constexpr std::uint64_t kSplitMinProbe = 4096;
+/// Split only when min_alpha t_split undercuts the best single-processor
+/// estimate by at least this fraction: hysteresis against splitting for
+/// wins inside the cost model's noise floor.
+inline constexpr double kSplitMinGain = 0.05;
+
 struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::kRatioThreshold;
   /// Crossover for kRatioThreshold; the paper derives block_size (=128).
   double ratio_threshold = 128.0;
-  /// kCostModel: assume the engines run with a warm device-memory pool
-  /// (GpuOptions::pooled_memory), i.e. no per-step allocation charges.
-  bool assume_pooled_memory = true;
   /// Fold list residency (StepShape's *_resident bits, filled from the
   /// device list cache and the host decoded cache) into the decision:
   /// kCostModel zeroes the transfer/decode terms a resident list skips, and
@@ -49,70 +87,27 @@ struct SchedulerOptions {
   /// transfer (device-resident long list) raises the crossover while a
   /// pre-decoded host list cheapens the CPU side and lowers it.
   bool residency_aware = true;
-  /// kRatioThreshold multiplier when the long list is device-resident.
-  double resident_ratio_boost = 4.0;
-  /// kRatioThreshold multiplier when the long list is host-decoded.
-  double host_decoded_ratio_scale = 0.5;
   /// Emit kPrefetch steps: while a GPU intersect runs, start the H2D of the
   /// next term's list on the copy engine (DESIGN.md §10). Read by the
   /// Planner; kAlwaysCpu plans never place GPU steps so never prefetch.
   bool prefetch = true;
-  /// Don't prefetch a list longer than this ratio times the current
-  /// intermediate: above it the binary-search path's deferred transfer
-  /// (skip table + candidate blocks only) moves less data than the full
-  /// payload a prefetch would, hidden or not. Default 2x the path
-  /// crossover.
-  double prefetch_ratio_limit = 256.0;
-  /// kRatioThreshold multiplier when the long list is already prefetched:
-  /// like device residency, the GPU owes no (visible) transfer for it, so
-  /// the crossover rises.
-  double prefetch_ratio_boost = 4.0;
-  /// kCostModel: credit copy/compute overlap in the GPU estimate — the
-  /// MergePath path double-buffers the payload H2D against Para-EF decode,
-  /// so transfer and memory time combine as max(), not sum.
-  bool overlap_aware = true;
-  /// Consume the CPU's vector-mode costs (cpu/simd_cost.h) in both
-  /// policies: kCostModel estimates CPU steps with the effective_* SIMD
-  /// costs (the same closed forms the engine charges through), and
-  /// kRatioThreshold scales its crossover by the SIMD-to-scalar cost ratio
-  /// of the skip path — a vectorized CPU claims more of the ratio spectrum,
-  /// so the GPU-favored band shrinks (DESIGN.md §13 derives the scale).
-  /// No-op for a scalar CpuSpec; off = decide as if the CPU were scalar.
-  bool simd_aware = true;
   /// Three-way co-execution (DESIGN.md §15): decide() may return kSplit,
   /// dividing the probe side between both processors. kRatioThreshold
   /// generalizes its crossover into the band
-  /// [threshold / split_band, threshold * split_band): inside it the
+  /// [threshold / kSplitBand, threshold * kSplitBand): inside it the
   /// decision falls through to the three-way cost comparison (outside it
   /// the binary ratio rule is untouched). kCostModel compares
   /// min_alpha t_split against t_cpu and t_gpu directly.
   bool split = true;
-  /// Half-width (multiplicative) of the ratio-policy split band.
-  double split_band = 4.0;
-  /// Never split a probe side smaller than this: the GPU leg's fixed costs
-  /// (kernel launches, probe H2D, partial D2H) need work to amortize over.
-  std::uint64_t split_min_probe = 4096;
-  /// Split only when min_alpha t_split undercuts the best single-processor
-  /// estimate by at least this fraction — hysteresis against splitting for
-  /// wins inside the cost model's noise floor.
-  double split_min_gain = 0.05;
   /// kAlwaysSplit (tests/ablation): pin alpha instead of deriving it from
   /// the cost model. Negative = derive. 0 and 1 are the degenerate splits
   /// (all-CPU / all-GPU through the split machinery).
   double forced_split_alpha = -1.0;
-  /// Inter-step pipelining (DESIGN.md §15): the planner marks steps with no
-  /// data dependence so the executor issues them on whichever processor the
-  /// current step leaves idle — kPrefetch uploads during CPU-placed
-  /// intersects (the copy engine is free) and kHostDecode work-ahead during
-  /// GPU-placed ones (the host core is free).
+  /// Inter-step pipelining (DESIGN.md §15): while a CPU-placed intersect
+  /// runs, the copy engine is idle, so the planner may stage a kPrefetch
+  /// upload for the next term when that step is predicted to run on the
+  /// device. Device-placed steps prefetch regardless (under `prefetch`).
   bool pipeline_idle = true;
-  /// A prefetch staged during a CPU-placed intersect is only worth paying
-  /// for when the predicted device consumer survives the intersect cutting
-  /// the intermediate: the prediction must also hold at probe size
-  /// shorter / this factor, else the upload is pure loss the moment the
-  /// shrunken ratio re-favors the host. Applies to the pipeline_idle path
-  /// only (device-placed steps keep the unconditional prefetch).
-  double prefetch_shrink_robustness = 8.0;
 };
 
 // StepShape (the scheduler's per-step input) lives in core/query.h so trace
@@ -147,10 +142,6 @@ class Scheduler {
   /// kernel the split executes) plus the probe H2D and the partial's D2H;
   /// the CPU leg reuses estimate_cpu on its share.
   sim::Duration estimate_split(const StepShape& s, double alpha) const;
-  /// Estimated host-side decode time of a `n`-posting list in scheme `s`
-  /// (the kHostDecode work-ahead gate: hide it under the device step only
-  /// if it fits).
-  sim::Duration estimate_host_decode(std::uint64_t n, codec::Scheme sc) const;
 
  private:
   /// {best alpha, its estimate_split} over the deterministic alpha grid.
@@ -161,7 +152,7 @@ class Scheduler {
   sim::Duration selective_gpu_time(double ns, const StepShape& s) const;
   /// The three-way comparison both policies share once a split is
   /// admissible: kSplit iff min_alpha t_split beats the better single
-  /// processor by split_min_gain.
+  /// processor by kSplitMinGain.
   Placement cost_decide(const StepShape& s, bool allow_split) const;
 
   SchedulerOptions opt_;

@@ -144,14 +144,6 @@ void SvsStepper::partial_step(std::span<const codec::DocId> probes,
   m.simd += acc.simd();
 }
 
-void SvsStepper::decode_ahead(index::TermId t, core::QueryMetrics& m) {
-  if (host_decoded(t)) return;  // already paid — nothing to work ahead on
-  sim::CpuCostAccumulator acc(spec_);
-  decode_via_cache(t, probe_scratch_, acc, m);
-  m.add_stage(acc.time(), &m.decode);
-  m.simd += acc.simd();
-}
-
 void SvsStepper::decode_single(index::TermId t, std::vector<codec::DocId>& out,
                                core::QueryMetrics& m) {
   sim::CpuCostAccumulator acc(spec_);

@@ -81,14 +81,6 @@ class SvsStepper {
   void partial_step(std::span<const codec::DocId> probes, index::TermId t,
                     std::vector<codec::DocId>& out, core::QueryMetrics& m);
 
-  /// Inter-step pipelining (kHostDecode): decodes list t into the decoded
-  /// cache while the device runs the current step. Charges m.decode with
-  /// exactly the cost a later consumer would have paid; with the cache
-  /// disabled (or the list too big to fit) the decode is charged and the
-  /// result discarded — the planner bet on hiding it either way. No-op
-  /// (zero charge) when t is already cached.
-  void decode_ahead(index::TermId t, core::QueryMetrics& m);
-
   /// Stat-free residency probe (core::StepShape::longer_host_decoded).
   bool host_decoded(index::TermId t) const {
     return cache_ != nullptr && cache_->resident(t);

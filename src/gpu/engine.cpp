@@ -293,7 +293,7 @@ void GpuExecutor::intersect_first(index::TermId a, index::TermId b,
   bind_ledger(ledger, m);
   GpuIntersectResult r;
   std::optional<AcquiredList> pf;
-  if (ratio < opt_.path_ratio) {
+  if (ratio < kPathRatio) {
     auto db = decode_full_list(b, m);
     r = mergepath_intersect(device_, da, la.size(), db, lb.size(), link_,
                             ledger);
@@ -332,7 +332,7 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
   const auto& lt = idx_->list(t).docids;
   const double ratio =
       current_count_ == 0
-          ? opt_.path_ratio  // empty intermediate: nothing to merge anyway
+          ? kPathRatio  // empty intermediate: nothing to merge anyway
           : static_cast<double>(lt.size()) /
                 static_cast<double>(current_count_);
 
@@ -340,7 +340,7 @@ void GpuExecutor::intersect_next(index::TermId t, core::QueryMetrics& m) {
   bind_ledger(ledger, m);
   GpuIntersectResult r;
   std::optional<AcquiredList> pf;
-  if (ratio < opt_.path_ratio) {
+  if (ratio < kPathRatio) {
     auto dt = decode_full_list(t, m);
     r = mergepath_intersect(device_, current_, current_count_, dt, lt.size(),
                             link_, ledger);

@@ -23,10 +23,11 @@
 
 namespace griffin::gpu {
 
+/// Intersection-path crossover: MergePath below, binary search at/above.
+/// 128 = the block size, per the paper's §3.2 analysis.
+inline constexpr double kPathRatio = 128.0;
+
 struct GpuOptions {
-  /// Intersection-path crossover: MergePath below, binary search at/above.
-  /// 128 = the block size, per the paper's §3.2 analysis.
-  double path_ratio = 128.0;
   /// Reuse device buffers across queries from a warm memory pool: the
   /// per-step cudaMalloc overhead (tens of microseconds per allocation,
   /// several allocations per step) is a one-time warmup cost in a serving

@@ -1,8 +1,10 @@
 #include "index/io.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace griffin::index {
 
@@ -27,23 +29,11 @@ void write_raw(std::FILE* f, const void* p, std::size_t bytes) {
     throw std::runtime_error("index save: short write");
   }
 }
-void read_raw(std::FILE* f, void* p, std::size_t bytes) {
-  if (std::fread(p, 1, bytes, f) != bytes) {
-    throw std::runtime_error("index load: short read");
-  }
-}
 
 template <typename T>
 void write_pod(std::FILE* f, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   write_raw(f, &v, sizeof(T));
-}
-template <typename T>
-T read_pod(std::FILE* f) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v{};
-  read_raw(f, &v, sizeof(T));
-  return v;
 }
 
 template <typename T>
@@ -52,24 +42,68 @@ void write_vec(std::FILE* f, const std::vector<T>& v) {
   write_pod<std::uint64_t>(f, v.size());
   if (!v.empty()) write_raw(f, v.data(), v.size() * sizeof(T));
 }
-template <typename T>
-std::vector<T> read_vec(std::FILE* f) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = read_pod<std::uint64_t>(f);
-  std::vector<T> v(n);
-  if (n > 0) read_raw(f, v.data(), n * sizeof(T));
-  return v;
-}
 
-/// A scheme byte from disk: anything past the last scheme would fall through
-/// codec_for's switch and decode the list with the wrong codec.
-codec::Scheme read_scheme(std::FILE* f) {
-  const auto s = read_pod<std::uint8_t>(f);
-  if (s >= codec::kNumSchemes) {
-    throw std::runtime_error("index load: bad scheme");
+/// Reads an index file front to back, tracking how many bytes are left so
+/// that no length field from disk can drive an allocation the file cannot
+/// back.
+class Reader {
+ public:
+  Reader(std::FILE* f, std::uint64_t file_bytes) : f_(f), left_(file_bytes) {}
+
+  void raw(void* p, std::size_t bytes) {
+    if (bytes > left_ || std::fread(p, 1, bytes, f_) != bytes) {
+      throw std::runtime_error("index load: short read");
+    }
+    left_ -= bytes;
   }
-  return static_cast<codec::Scheme>(s);
-}
+
+  template <typename T>
+  T pod() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
+    raw(&v, sizeof(T));
+    return v;
+  }
+
+  /// A count of records at least `record_bytes` long each: throws unless
+  /// that many fit in the rest of the file.
+  std::uint64_t length(std::uint64_t record_bytes, const char* what) {
+    const auto n = pod<std::uint64_t>();
+    if (n > left_ / record_bytes) {
+      throw std::runtime_error(std::string("index load: ") + what +
+                               " past end of file");
+    }
+    return n;
+  }
+
+  template <typename T>
+  std::vector<T> vec() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::vector<T> v(length(sizeof(T), "vector length"));
+    if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
+    return v;
+  }
+
+  /// A scheme byte from disk: anything past the last scheme would fall
+  /// through codec_for's switch and decode the list with the wrong codec.
+  codec::Scheme scheme() {
+    const auto s = pod<std::uint8_t>();
+    if (s >= codec::kNumSchemes) {
+      throw std::runtime_error("index load: bad scheme");
+    }
+    return static_cast<codec::Scheme>(s);
+  }
+
+ private:
+  std::FILE* f_;
+  std::uint64_t left_;
+};
+
+/// On-disk bytes of one v3 BlockMeta record (write_meta).
+constexpr std::uint64_t kMetaBytes = 4 + 4 + 8 + 2 + 1 + 1 + 2 + 2 + 4;
+/// Fewest bytes one posting list takes on disk: its four 8-byte counts
+/// (size, blob length, metas, freqs length). v3 adds a scheme byte.
+constexpr std::uint64_t kMinListBytes = 4 * 8;
 
 void write_meta(std::FILE* f, const codec::BlockMeta& m) {
   write_pod<std::uint32_t>(f, m.first);
@@ -83,17 +117,17 @@ void write_meta(std::FILE* f, const codec::BlockMeta& m) {
   write_pod<std::uint32_t>(f, m.hdr.h32);
 }
 
-codec::BlockMeta read_meta(std::FILE* f) {
+codec::BlockMeta read_meta(Reader& in) {
   codec::BlockMeta m;
-  m.first = read_pod<std::uint32_t>(f);
-  m.last = read_pod<std::uint32_t>(f);
-  m.bit_offset = read_pod<std::uint64_t>(f);
-  m.count = read_pod<std::uint16_t>(f);
-  m.hdr.scheme = read_scheme(f);
-  m.hdr.b = read_pod<std::uint8_t>(f);
-  m.hdr.h16a = read_pod<std::uint16_t>(f);
-  m.hdr.h16b = read_pod<std::uint16_t>(f);
-  m.hdr.h32 = read_pod<std::uint32_t>(f);
+  m.first = in.pod<std::uint32_t>();
+  m.last = in.pod<std::uint32_t>();
+  m.bit_offset = in.pod<std::uint64_t>();
+  m.count = in.pod<std::uint16_t>();
+  m.hdr.scheme = in.scheme();
+  m.hdr.b = in.pod<std::uint8_t>();
+  m.hdr.h16a = in.pod<std::uint16_t>();
+  m.hdr.h16b = in.pod<std::uint16_t>();
+  m.hdr.h32 = in.pod<std::uint32_t>();
   return m;
 }
 
@@ -173,52 +207,57 @@ void save_index(const InvertedIndex& idx, const std::string& path) {
 InvertedIndex load_index(const std::string& path) {
   File f(std::fopen(path.c_str(), "rb"));
   if (!f) throw std::runtime_error("index load: cannot open " + path);
+  Reader in(f.get(), std::filesystem::file_size(path));
 
-  if (read_pod<std::uint64_t>(f.get()) != kMagic) {
+  if (in.pod<std::uint64_t>() != kMagic) {
     throw std::runtime_error("index load: bad magic");
   }
-  const auto version = read_pod<std::uint32_t>(f.get());
+  const auto version = in.pod<std::uint32_t>();
   if (version != kVersion && version != kVersionLegacy) {
     throw std::runtime_error("index load: version mismatch");
   }
   CodecPolicy policy;
-  policy.fixed = read_scheme(f.get());
+  policy.fixed = in.scheme();
   if (version >= kVersion) {
-    policy.adaptive = read_pod<std::uint8_t>(f.get()) != 0;
+    policy.adaptive = in.pod<std::uint8_t>() != 0;
   }
-  const auto block_size = read_pod<std::uint32_t>(f.get());
+  const auto block_size = in.pod<std::uint32_t>();
 
   InvertedIndex idx(policy, block_size);
-  const auto ndocs = read_pod<std::uint64_t>(f.get());
+  const auto ndocs = in.length(sizeof(std::uint32_t), "ndocs");
   idx.docs().resize(ndocs);
   for (std::uint64_t d = 0; d < ndocs; ++d) {
-    idx.docs().set_length(static_cast<DocId>(d), read_pod<std::uint32_t>(f.get()));
+    idx.docs().set_length(static_cast<DocId>(d), in.pod<std::uint32_t>());
   }
 
-  const auto nterms = read_pod<std::uint64_t>(f.get());
+  const auto nterms = in.length(kMinListBytes, "nterms");
   for (std::uint64_t t = 0; t < nterms; ++t) {
-    const auto size = read_pod<std::uint64_t>(f.get());
+    const auto size = in.pod<std::uint64_t>();
     codec::Scheme scheme = policy.fixed;
     if (version >= kVersion) {
-      scheme = read_scheme(f.get());
+      scheme = in.scheme();
     }
-    auto blob = read_vec<std::uint64_t>(f.get());
+    auto blob = in.vec<std::uint64_t>();
     std::vector<codec::BlockMeta> metas;
     if (version >= kVersion) {
-      const auto nmetas = read_pod<std::uint64_t>(f.get());
+      const auto nmetas = in.length(kMetaBytes, "nmetas");
       metas.reserve(nmetas);
       for (std::uint64_t i = 0; i < nmetas; ++i) {
-        metas.push_back(read_meta(f.get()));
+        metas.push_back(read_meta(in));
       }
     } else {
-      for (const auto& l : read_vec<LegacyBlockMetaV2>(f.get())) {
+      for (const auto& l : in.vec<LegacyBlockMetaV2>()) {
         metas.push_back(upgrade_meta(l, scheme));
       }
     }
     PostingList pl;
-    pl.docids = codec::BlockCompressedList::from_parts(
-        scheme, block_size, size, std::move(blob), std::move(metas));
-    pl.freqs = read_vec<std::uint8_t>(f.get());
+    try {
+      pl.docids = codec::BlockCompressedList::from_parts(
+          scheme, block_size, size, std::move(blob), std::move(metas));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("index load: ") + e.what());
+    }
+    pl.freqs = in.vec<std::uint8_t>();
     if (pl.freqs.size() != pl.docids.size()) {
       throw std::runtime_error("index load: freqs/docids size mismatch");
     }

@@ -15,7 +15,10 @@ namespace griffin::index {
 void save_index(const InvertedIndex& idx, const std::string& path);
 
 /// Reads an index previously written by save_index. Throws
-/// std::runtime_error on IO failure or a format/version mismatch.
+/// std::runtime_error on IO failure, a format/version mismatch, a length
+/// field longer than the rest of the file (checked before allocating), or
+/// a posting list whose skip table is inconsistent
+/// (codec::BlockCompressedList::from_parts).
 InvertedIndex load_index(const std::string& path);
 
 }  // namespace griffin::index

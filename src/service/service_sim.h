@@ -32,7 +32,9 @@ struct ServiceConfig {
   /// Admission control (DESIGN.md §11): a query arriving while this many
   /// queries are already in the system (queued + in service) is shed — no
   /// service, no response sample, counted in ServiceResult::faults. Zero
-  /// disables shedding (the unbounded legacy queue).
+  /// disables shedding: an unbounded FCFS queue, the mode
+  /// bench/service_load, bench/multi_tenant and the benchmark's capacity
+  /// ladder run.
   std::uint32_t max_queue_depth = 0;
 };
 

@@ -248,3 +248,149 @@ TEST(IndexIO, OutOfRangeSchemeByteThrows) {
   }
   std::remove(path.c_str());
 }
+
+// ---- Structural checks on load ---------------------------------------------
+
+namespace {
+
+/// A saved one-list VarByte index (300 postings: blocks of 128, 128 and 44)
+/// and the byte offsets of its v3 fields, for patching single fields.
+struct SavedIndex {
+  static constexpr std::uint64_t kDocs = 1000;
+  static constexpr long kNdocsAt = 18;  // magic, version, policy, block_size
+  static constexpr long kNtermsAt = kNdocsAt + 8 + 4 * kDocs;
+  static constexpr long kSizeAt = kNtermsAt + 8;
+  static constexpr long kBlobLenAt = kSizeAt + 8 + 1;  // after the scheme
+  static constexpr long kMetaBytes = 28;
+  /// Field offsets inside one meta record.
+  static constexpr long kFirst = 0, kLast = 4, kBitOffset = 8, kCount = 16;
+
+  std::string path;
+  index::InvertedIndex idx{index::CodecPolicy{codec::Scheme::kVarByte}};
+
+  explicit SavedIndex(const char* name) : path(temp_path(name)) {
+    util::Xoshiro256 rng(17);
+    idx.add_list(workload::make_uniform_list(300, kDocs, rng));
+    idx.docs().resize(kDocs);
+  }
+  ~SavedIndex() { std::remove(path.c_str()); }
+  SavedIndex(const SavedIndex&) = delete;
+  SavedIndex& operator=(const SavedIndex&) = delete;
+
+  const codec::BlockCompressedList& list() const { return idx.list(0).docids; }
+  long nmetas_at() const {
+    return kBlobLenAt + 8 + 8 * static_cast<long>(list().blob().size());
+  }
+  long meta_at(std::size_t b, long field) const {
+    return nmetas_at() + 8 + kMetaBytes * static_cast<long>(b) + field;
+  }
+  long freqs_len_at() const { return meta_at(list().num_blocks(), 0); }
+
+  /// Re-saves the index, then overwrites sizeof(T) bytes at `at`.
+  template <typename T>
+  void save_patched(long at, T value) {
+    index::save_index(idx, path);
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&value, 1, sizeof(T), f), sizeof(T));
+    std::fclose(f);
+  }
+
+  void expect_load_error(const std::string& what) const {
+    try {
+      index::load_index(path);
+      ADD_FAILURE() << "no throw, expected " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+  }
+};
+
+}  // namespace
+
+TEST(IndexIO, HugeNdocsThrowsBeforeAllocating) {
+  SavedIndex s("griffin_test_ndocs.bin");
+  s.save_patched<std::uint64_t>(SavedIndex::kNdocsAt, std::uint64_t{1} << 60);
+  s.expect_load_error("index load: ndocs past end of file");
+}
+
+TEST(IndexIO, HugeNtermsThrows) {
+  SavedIndex s("griffin_test_nterms.bin");
+  s.save_patched<std::uint64_t>(SavedIndex::kNtermsAt, std::uint64_t{1} << 40);
+  s.expect_load_error("index load: nterms past end of file");
+}
+
+TEST(IndexIO, HugeVectorLengthThrowsBeforeAllocating) {
+  // Both the blob and the freqs vector carry a length prefix.
+  SavedIndex s("griffin_test_veclen.bin");
+  for (const long at : {SavedIndex::kBlobLenAt, s.freqs_len_at()}) {
+    s.save_patched<std::uint64_t>(at, std::uint64_t{1} << 60);
+    s.expect_load_error("index load: vector length past end of file");
+  }
+}
+
+TEST(IndexIO, HugeNmetasThrowsBeforeAllocating) {
+  SavedIndex s("griffin_test_nmetas.bin");
+  s.save_patched<std::uint64_t>(s.nmetas_at(), std::uint64_t{1} << 40);
+  s.expect_load_error("index load: nmetas past end of file");
+}
+
+TEST(IndexIO, BlockCountsMustSumToListSize) {
+  // A larger size field used to make decode_all resize to it and then write
+  // only the blocks' postings; a smaller one made it write past the end.
+  SavedIndex s("griffin_test_sum.bin");
+  for (const std::uint64_t size : {299u, 301u}) {
+    s.save_patched<std::uint64_t>(SavedIndex::kSizeAt, size);
+    s.expect_load_error(
+        "index load: from_parts: block counts do not sum to size");
+  }
+}
+
+TEST(IndexIO, BlockCountOutOfRangeThrows) {
+  SavedIndex s("griffin_test_count.bin");
+  for (const std::uint16_t count : {std::uint16_t{0}, std::uint16_t{129}}) {
+    s.save_patched<std::uint16_t>(s.meta_at(0, SavedIndex::kCount), count);
+    s.expect_load_error("index load: from_parts: block count out of range");
+  }
+}
+
+TEST(IndexIO, BlockFirstAfterLastThrows) {
+  SavedIndex s("griffin_test_first.bin");
+  const auto last = s.list().meta(1).last;
+  s.save_patched<std::uint32_t>(s.meta_at(1, SavedIndex::kFirst), last + 1);
+  s.expect_load_error("index load: from_parts: block first > last");
+}
+
+TEST(IndexIO, BlockLastMustIncrease) {
+  SavedIndex s("griffin_test_last.bin");
+  const auto next_last = s.list().meta(1).last;
+  s.save_patched<std::uint32_t>(s.meta_at(0, SavedIndex::kLast), next_last);
+  s.expect_load_error("index load: from_parts: block last not increasing");
+}
+
+TEST(IndexIO, BlockOffsetPastBlobThrows) {
+  SavedIndex s("griffin_test_offset.bin");
+  const std::uint64_t blob_bits = 64 * s.list().blob().size();
+  s.save_patched<std::uint64_t>(s.meta_at(2, SavedIndex::kBitOffset),
+                                blob_bits + 1);
+  s.expect_load_error("index load: from_parts: block offset past the blob");
+}
+
+TEST(IndexIO, ZeroPayloadBlockAtBlobEndLoads) {
+  // Consecutive docIDs pack to zero BP128 bits: the blob is empty and every
+  // block starts at its end. That is a valid list, not a corrupt one.
+  std::vector<index::DocId> docs(300);
+  for (index::DocId d = 0; d < docs.size(); ++d) docs[d] = d + 5;
+  index::InvertedIndex idx(index::CodecPolicy{codec::Scheme::kBitPack128});
+  idx.add_list(docs);
+  idx.docs().resize(400);
+  ASSERT_TRUE(idx.list(0).docids.blob().empty());
+  const std::string path = temp_path("griffin_test_zero_payload.bin");
+  index::save_index(idx, path);
+  const auto loaded = index::load_index(path);
+  std::remove(path.c_str());
+  std::vector<index::DocId> got;
+  loaded.list(0).docids.decode_all(got);
+  EXPECT_EQ(got, docs);
+}

@@ -11,6 +11,8 @@
 //      them disabled.
 //   4. Warm steady state is deterministic: once the caches are warm,
 //      repeated executions of the same query produce identical traces.
+//   5. No engine emits StepKind::kHostDecode: host decode-ahead is gone
+//      (DESIGN.md §15) and the enumerator is only a name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "core/hybrid_engine.h"
 #include "core/scheduler.h"
 #include "engine_test_util.h"
+#include "tenancy/device_manager.h"
 
 using namespace griffin;
 
@@ -315,5 +318,50 @@ TEST(QueryTrace, WarmCacheTracesAreDeterministic) {
     const auto second = engine.execute(log[i]);
     expect_identical_traces(first.trace, second.trace,
                             "warm q" + std::to_string(i));
+  }
+}
+
+TEST(QueryTrace, NoEngineEmitsHostDecode) {
+  const auto& idx = testutil::small_index();
+  const auto log = trace_log(idx);
+  const auto expect_none = [](const core::QueryResult& res,
+                              const std::string& label) {
+    for (const auto& r : res.trace) {
+      EXPECT_NE(r.kind, core::StepKind::kHostDecode) << label;
+    }
+  };
+  for (const auto policy : {core::SchedulerPolicy::kRatioThreshold,
+                            core::SchedulerPolicy::kCostModel,
+                            core::SchedulerPolicy::kAlwaysCpu,
+                            core::SchedulerPolicy::kAlwaysGpu,
+                            core::SchedulerPolicy::kAlwaysSplit}) {
+    core::HybridOptions opt;
+    opt.scheduler.policy = policy;
+    core::HybridEngine engine(idx, {}, opt);
+    // Twice over: cold caches, then the warm host decoded cache whose
+    // residency bits used to gate the decode-ahead.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        expect_none(engine.execute(log[i]),
+                    "policy " + std::to_string(static_cast<int>(policy)) +
+                        " pass " + std::to_string(pass) + " q" +
+                        std::to_string(i));
+      }
+    }
+  }
+  // Tenancy lanes run the same planner under batching and a shared clock.
+  std::vector<tenancy::TenantQuery> load;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    load.push_back(
+        {log[i], sim::Duration::from_us(5.0 * static_cast<double>(i))});
+  }
+  tenancy::DeviceManager device(idx);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto results = device.run(load);
+    ASSERT_EQ(results.size(), log.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      expect_none(results[i].result, "tenancy pass " + std::to_string(pass) +
+                                         " q" + std::to_string(i));
+    }
   }
 }

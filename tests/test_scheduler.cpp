@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace griffin;
 using core::Placement;
 using core::Scheduler;
@@ -215,7 +217,7 @@ TEST(Scheduler, HighRatioTransferChargesActualCompressedBytes) {
 // ---- Three-way co-execution (DESIGN.md §15) --------------------------------
 
 namespace {
-/// A shape big enough to clear split_min_probe, placed like a mid-query
+/// A shape big enough to clear kSplitMinProbe, placed like a mid-query
 /// intersect (intermediate on the CPU, compressed long list at ~1 B/elem).
 StepShape big_shape(double ratio) {
   const std::uint64_t shorter = 1u << 20;
@@ -227,7 +229,7 @@ StepShape big_shape(double ratio) {
 }  // namespace
 
 TEST(SchedulerSplit, RatioPolicyGeneralizesIntoABand) {
-  Scheduler sched;  // defaults: threshold 128, split_band 4
+  Scheduler sched;  // defaults: threshold 128, kSplitBand 4
   // Below the band one processor dominates and the binary rule stands.
   EXPECT_EQ(sched.decide(big_shape(16.0)), Placement::kGpu);
   // Above it likewise.
@@ -243,7 +245,7 @@ TEST(SchedulerSplit, RatioPolicyGeneralizesIntoABand) {
 
 TEST(SchedulerSplit, SmallProbesNeverSplit) {
   Scheduler sched;
-  // Identical ratio, probe below split_min_probe: the GPU leg's fixed costs
+  // Identical ratio, probe below kSplitMinProbe: the GPU leg's fixed costs
   // have nothing to amortize over, so the binary rule stands.
   StepShape s = shape(1000, 128'000, Placement::kCpu);
   EXPECT_EQ(sched.decide(s), Placement::kCpu);
@@ -275,10 +277,9 @@ TEST(SchedulerSplit, SplitEstimateBracketsAndBeatsAtChosenAlpha) {
   const auto t_gpu = sched.estimate_gpu(s);
   const auto best = t_cpu.ps() < t_gpu.ps() ? t_cpu : t_gpu;
   // The min-gain gate: the chosen split undercuts the better single
-  // processor by at least split_min_gain.
+  // processor by at least kSplitMinGain.
   EXPECT_LT(static_cast<double>(t_split.ps()),
-            (1.0 - sched.options().split_min_gain) *
-                static_cast<double>(best.ps()));
+            (1.0 - core::kSplitMinGain) * static_cast<double>(best.ps()));
   // Degenerate alphas price (at least) the full single-processor work, so
   // the grid never prefers a sham split.
   EXPECT_GE(sched.estimate_split(s, 0.0).ps(), t_cpu.ps());
@@ -308,12 +309,31 @@ TEST(SchedulerSplit, AlwaysSplitPolicy) {
 }
 
 TEST(SchedulerSplit, MinGainGateSuppressesMarginalSplits) {
-  // With the gain requirement cranked up no split can qualify; the
-  // three-way comparison degrades to the plain two-way one.
+  // Sweep the ratio through and past the band at two probe sizes: the
+  // cost policy splits exactly when the best split undercuts the better
+  // single processor by kSplitMinGain. Small probes have splits that win,
+  // but by less than the gate; those must stay single-processor.
   SchedulerOptions opt;
   opt.policy = SchedulerPolicy::kCostModel;
-  opt.split_min_gain = 1.0;
   Scheduler sched(opt);
-  EXPECT_NE(sched.decide(big_shape(128.0)), Placement::kSplit);
-  EXPECT_NE(sched.decide(big_shape(256.0)), Placement::kSplit);
+  int splits = 0;
+  int marginal = 0;
+  for (const std::uint64_t n :
+       {core::kSplitMinProbe, std::uint64_t{1} << 20}) {
+    for (double ratio = 8.0; ratio < 4096.0; ratio *= 1.02) {
+      const StepShape s = shape(n, static_cast<std::uint64_t>(ratio * n),
+                                Placement::kCpu);
+      const auto t_split = static_cast<double>(
+          sched.estimate_split(s, sched.split_alpha(s)).ps());
+      const auto best = static_cast<double>(
+          std::min(sched.estimate_cpu(s).ps(), sched.estimate_gpu(s).ps()));
+      const bool clears_gate = t_split < (1.0 - core::kSplitMinGain) * best;
+      EXPECT_EQ(sched.decide(s) == Placement::kSplit, clears_gate)
+          << n << " x " << ratio;
+      if (clears_gate) ++splits;
+      if (!clears_gate && t_split < best) ++marginal;
+    }
+  }
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(marginal, 0);
 }

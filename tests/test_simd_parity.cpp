@@ -264,10 +264,11 @@ TEST(SimdCrossover, SchedulerShiftsRatioRuleWithVectorUnit) {
     EXPECT_EQ(simd_sched.decide(shape), griffin::core::Placement::kCpu);
   }
 
-  // simd_aware off: decide as if the CPU were scalar.
-  griffin::core::SchedulerOptions opt;
-  opt.simd_aware = false;
-  griffin::core::Scheduler off_sched(opt, avx2_hw);
+  // The same CPU with its vector unit off decides as a scalar CPU: the
+  // scheduler reads the SIMD mode from its CpuSpec, nothing else.
+  sim::HardwareSpec off_hw = avx2_hw;
+  off_hw.cpu.vector.enabled = false;
+  griffin::core::Scheduler off_sched({}, off_hw);
   EXPECT_EQ(off_sched.decide(shape), griffin::core::Placement::kGpu);
 }
 
